@@ -192,11 +192,18 @@ def minimum_gadget_witness(inst: X3CInstance, *, max_n: int | None = None,
 # -- instance JSON ------------------------------------------------------------
 
 
+def _json_int(value: object) -> int:
+    # bool is an int subclass; floats, 6.0 included, are never truncated
+    if type(value) is not int:
+        raise ValueError(f"malformed instance JSON: {value!r} is not an integer")
+    return value
+
+
 def x3c_from_json(text: str) -> X3CInstance:
     data = json.loads(text)
     try:
-        universe = int(data["universe"])
-        sets = tuple(tuple(int(x) for x in triple) for triple in data["sets"])
+        universe = _json_int(data["universe"])
+        sets = tuple(tuple(_json_int(x) for x in triple) for triple in data["sets"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from None
     return X3CInstance(universe, sets)  # type: ignore[arg-type]

@@ -84,6 +84,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(big), "--kind", "dom")
         assert code == 3 and "cap" in err
 
+    def test_negative_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        p5 = tmp_path / "p5.el"
+        p5.write_text(format_edge_list(build_standard("path", 5)))
+        monkeypatch.setenv("DOMKIT_MAX_N", "-3")
+        code, out, err = run(capsys, "solve", str(p5), "--kind", "dom")
+        assert code == 1 and out == "" and "non-negative" in err
+
     def test_force_overrides_cap(self, tmp_path, capsys):
         big = tmp_path / "big.el"
         big.write_text(format_edge_list(build_standard("star", 33)))
@@ -167,6 +174,12 @@ class TestReduceAndDecide:
         inst.write_text("{not json")
         code, _, _ = run(capsys, "decide-x3c", str(inst))
         assert code == 1
+
+    def test_non_integer_instance_exits_1(self, tmp_path, capsys):
+        inst = tmp_path / "float.json"
+        inst.write_text('{"universe": 6.9, "sets": [[0,1,2],[3,4,5.7]]}')
+        code, out, err = run(capsys, "decide-x3c", str(inst))
+        assert code == 1 and out == "" and "not an integer" in err
 
     def test_gadget_stdout_parses(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -57,6 +57,18 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             x3c_from_json(json.dumps({"universe": 3}))
 
+    def test_json_rejects_non_integers(self):
+        for bad in ({"universe": 6.9, "sets": [[0, 1, 2], [3, 4, 5.7]]},
+                    {"universe": 6.0, "sets": [[0, 1, 2], [3, 4, 5]]},
+                    {"universe": 6, "sets": [[0, 1, 2], [3, 4, 5.0]]},
+                    {"universe": 3, "sets": [[0, True, 2]]},
+                    {"universe": True, "sets": [[0, 1, 2]]},
+                    {"universe": 3, "sets": [[0, 1, "2"]]}):
+            with pytest.raises(ValueError, match="not an integer"):
+                x3c_from_json(json.dumps(bad))
+        inst = x3c_from_json('{"universe": 3, "sets": [[2, 0, 1]]}')
+        assert inst == X3CInstance(3, ((2, 0, 1),))
+
 
 class TestBuildGadget:
     def test_single_set_structure(self):

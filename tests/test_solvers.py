@@ -1,18 +1,24 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_all,
     brute_min,
     high_max_degree_catalog,
     naive_satisfies,
     nonisomorphic_trees,
     random_connected_graph,
+    random_graph,
     random_high_max_degree_graph,
 )
 from test_graphs import graphs_strategy
 
 from domkit.domsets import (
+    BASES,
+    SetKind,
     dominating,
     efficient,
     independent_one_k,
@@ -119,6 +125,64 @@ class TestAgainstBruteForce:
         expect = gamma is not None and gamma <= limit
         assert r.exists == expect
         assert exists_set(g, total_one_k(2), limit=limit) == expect
+
+
+def _kinds_k_up_to_7():
+    """Every base with k in {1, 2, 3, 7} and every valid j <= 2 (38 kinds)."""
+    kinds = []
+    for base in BASES:
+        if base.startswith("j_dependent"):
+            kinds += [SetKind(base, k=k, j=j) for k in (1, 2, 3, 7) for j in range(min(k, 2) + 1)]
+        elif base in ("one_k", "total_one_k", "independent_one_k"):
+            kinds += [SetKind(base, k=k) for k in (1, 2, 3, 7)]
+        else:
+            kinds.append(SetKind(base))
+    return kinds
+
+
+class TestPrunedSearchAgainstBruteForce:
+    """Graphs with 7..10 vertices, where Delta + 1 is well below n, so the
+    counting bound and the bounds clamped at Delta cut real branches."""
+
+    def test_random_graphs_all_kinds(self):
+        rng = random.Random(0xB0C4)
+        kinds = _kinds_k_up_to_7()
+        assert len(kinds) == 38
+        for n in range(7, 11):
+            for p in (0.15, 0.25, 0.35, 0.5, 0.65, 0.8):
+                g = random_graph(rng, n, p)
+                for kind in kinds:
+                    gamma, witness = brute_min(g, kind)
+                    r = min_set(g, kind)
+                    assert (r.gamma, r.witness) == (gamma, witness), (g, kind)
+                    limit = rng.randint(0, n) if gamma is None else rng.choice((gamma - 1, gamma))
+                    within = gamma is not None and gamma <= limit
+                    r = min_set(g, kind, limit=limit)
+                    assert (r.gamma, r.witness) == ((gamma, witness) if within else (None, None))
+                    assert exists_set(g, kind) == (gamma is not None)
+                    assert exists_set(g, kind, limit=limit) == within
+
+                    hits = brute_all(g, kind)
+                    size = len(rng.choice(hits)) if hits else rng.randint(0, n)
+                    seen = []
+                    enumerate_sets(g, kind, size,
+                                   lambda s: (seen.append(tuple(sorted(s))), False)[1])
+                    assert seen == [h for h in hits if len(h) == size], (g, kind, size)
+
+
+class TestSearchEffort:
+    def test_counting_bound_keeps_long_paths_and_cycles_shallow(self):
+        # 870,846 / 1,019,269 / 961,737 nodes before the counting bound
+        for family, kind in (("path", dominating()), ("path", total_one_k(2)),
+                             ("cycle", one_k(2))):
+            assert min_set(build_standard(family, 32), kind).nodes_explored <= 100
+
+    def test_bounds_at_or_above_max_degree_are_vacuous(self):
+        c12 = build_standard("cycle", 12)
+        huge = min_set(c12, one_k(10**5))
+        two = min_set(c12, one_k(2))
+        assert (huge.gamma, huge.witness, huge.nodes_explored) == (
+            two.gamma, two.witness, two.nodes_explored)
 
 
 class TestEnumerateSets:
@@ -248,6 +312,20 @@ class TestDeterminismAndCap:
             exists_set(build_standard("path", 12), one_k(2))
         monkeypatch.setenv("DOMKIT_MAX_N", "40")
         assert exists_set(build_standard("path", 12), one_k(2))
+
+    def test_negative_cap_rejected(self, monkeypatch):
+        p5 = build_standard("path", 5)
+        for call in (lambda: min_set(p5, dominating(), max_n=-1),
+                     lambda: exists_set(p5, dominating(), max_n=-1)):
+            with pytest.raises(ValueError, match="non-negative") as info:
+                call()
+            assert not isinstance(info.value, GraphTooLargeError)
+        monkeypatch.setenv("DOMKIT_MAX_N", "-3")
+        with pytest.raises(ValueError, match="non-negative"):
+            min_set(p5, dominating())
+        monkeypatch.setenv("DOMKIT_MAX_N", "0")
+        with pytest.raises(GraphTooLargeError):
+            min_set(p5, dominating())
 
     def test_explicit_cap_argument(self):
         with pytest.raises(GraphTooLargeError):
