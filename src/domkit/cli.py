@@ -8,6 +8,7 @@ under ``--compare-oracle``, 3 solver cap exceeded, 64 invalid command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +34,7 @@ from .lex_theory import (
     verify_membership_against_oracle,
 )
 from .npc import build_gadget, decide_x3c, x3c_from_json
-from .solvers import GraphTooLargeError, closed_form, min_set
+from .solvers import GraphTooLargeError, closed_form, min_set, resolve_cap
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -41,7 +42,20 @@ EXIT_DISAGREE = 2
 EXIT_CAP = 3
 EXIT_USAGE = 64
 
-KIND_TOKENS = ("dom", "total", "1k", "t1k", "i1k", "jd1k", "jdt1k", "eff", "oeff")
+# token -> (factory, needs_j, needs_k); the factory takes j and/or k, in that order
+_KINDS = {
+    "dom": (dominating, False, False),
+    "total": (total_dominating, False, False),
+    "1k": (one_k, False, True),
+    "t1k": (total_one_k, False, True),
+    "i1k": (independent_one_k, False, True),
+    "jd1k": (j_dependent_one_k, True, True),
+    "jdt1k": (j_dependent_total_one_k, True, True),
+    "eff": (efficient, False, False),
+    "oeff": (open_efficient, False, False),
+}
+
+KIND_TOKENS = tuple(_KINDS)
 
 PRODUCT_KIND_TOKENS = {
     "plain": "plain",
@@ -63,30 +77,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_kind(token: str, j: int | None, k: int | None) -> SetKind:
-    needs_k = token in ("1k", "t1k", "i1k", "jd1k", "jdt1k")
-    needs_j = token in ("jd1k", "jdt1k")
+    factory, needs_j, needs_k = _KINDS[token]
     if needs_k and k is None:
         raise SystemExit(_usage_error(f"--k is required for kind {token}"))
     if needs_j and j is None:
         raise SystemExit(_usage_error(f"--j is required for kind {token}"))
     try:
-        if token == "dom":
-            return dominating()
-        if token == "total":
-            return total_dominating()
-        if token == "1k":
-            return one_k(k)
-        if token == "t1k":
-            return total_one_k(k)
-        if token == "i1k":
-            return independent_one_k(k)
-        if token == "jd1k":
-            return j_dependent_one_k(j, k)
-        if token == "jdt1k":
-            return j_dependent_total_one_k(j, k)
-        if token == "eff":
-            return efficient()
-        return open_efficient()
+        return factory(*(j,) * needs_j, *(k,) * needs_k)
     except ValueError as exc:
         raise SystemExit(_usage_error(str(exc))) from None
 
@@ -138,7 +135,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    graph = load_graph(args.graph)
+    # the header is checked against the cap before a graph of its size is built
+    graph = load_graph(args.graph, max_n=None if args.force else resolve_cap())
     kind = _build_kind(args.kind, args.j, args.k)
     result = min_set(graph, kind, limit=args.limit, force=args.force)
     _emit(result.to_dict(), args.pretty)
@@ -204,7 +202,13 @@ def _cmd_decide_x3c(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and reused for every later call.
+
+    Handlers and ``_Parser.error`` look up ``sys.stdout``/``sys.stderr`` when
+    they run, so a reused parser writes wherever the streams point now.
+    """
     parser = _Parser(prog="domkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

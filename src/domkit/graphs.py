@@ -17,6 +17,18 @@ Edge = tuple[int, int]
 STANDARD_FAMILIES = ("path", "cycle", "complete", "star", "empty")
 
 
+class GraphTooLargeError(ValueError):
+    """Raised when a graph exceeds the solver cap and force is not set."""
+
+
+def check_vertex_cap(n: int, cap: int) -> None:
+    """Raise ``GraphTooLargeError`` when ``n`` vertices exceed ``cap``."""
+    if n > cap:
+        raise GraphTooLargeError(
+            f"graph has {n} vertices, cap is {cap} (pass force=True to override)"
+        )
+
+
 class Graph:
     """Undirected simple graph with adjacency-set representation.
 
@@ -231,7 +243,12 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, max_n: int | None = None) -> Graph:
+    """Graph from edge-list text.
+
+    With ``max_n`` a header announcing more vertices raises
+    ``GraphTooLargeError`` before anything of that size is allocated.
+    """
     tokens: list[str] = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -246,13 +263,15 @@ def parse_edge_list(text: str) -> Graph:
     n, m = numbers[0], numbers[1]
     if len(numbers) != 2 + 2 * m:
         raise ValueError(f"expected {m} edges, found {(len(numbers) - 2) / 2:g}")
+    if max_n is not None:
+        check_vertex_cap(n, max_n)
     edges = [(numbers[i], numbers[i + 1]) for i in range(2, len(numbers), 2)]
     return Graph(n, edges)
 
 
-def load_graph(path: str) -> Graph:
+def load_graph(path: str, max_n: int | None = None) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh.read(), max_n)
 
 
 def save_graph(graph: Graph, path: str) -> None:

@@ -67,18 +67,19 @@ class GadgetMeta:
         return self.cycles[i][0]
 
     def role_of(self, vid: int) -> dict:
-        for i, block in enumerate(self.cycles):
-            if vid in block:
-                return {"role": "cycle", "set": i, "pos": block.index(vid)}
-        for i, slots in enumerate(self.connectors):
-            if vid in slots:
-                return {"role": "connector", "set": i, "slot": slots.index(vid)}
-        if vid in self.elements:
-            return {"role": "element", "element": self.elements.index(vid)}
+        t = self.num_sets
+        if 0 <= vid < 4 * t:
+            i, pos = divmod(vid, 4)
+            return {"role": "cycle", "set": i, "pos": pos}
+        if 4 * t <= vid < 7 * t:
+            i, slot = divmod(vid - 4 * t, 3)
+            return {"role": "connector", "set": i, "slot": slot}
+        if 7 * t <= vid < 7 * t + self.universe_size:
+            return {"role": "element", "element": vid - 7 * t}
         raise ValueError(f"vertex {vid} not in gadget")
 
     def to_sidecar_json(self) -> str:
-        total = 7 * self.num_sets + 3 * self.universe_size // 3
+        total = 7 * self.num_sets + self.universe_size
         roles = {str(v): self.role_of(v) for v in range(total)}
         return json.dumps({"budget": self.budget, "roles": roles})
 

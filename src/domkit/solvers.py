@@ -5,17 +5,20 @@ within a cardinality, in ascending lexicographic order of the sorted vertex
 ids, so the first satisfying set found is the canonical witness.  One
 recursive loop serves both modes: ``min_set`` and ``enumerate_sets`` deepen
 over exact target sizes, while ``exists_set`` makes one variable-size sweep
-up to its limit (on the X3C gadgets that need a search the sweep explores
-2.79M nodes where per-size deepening explores 4.01M).
+up to its limit (on the 491 X3C gadgets that need a search the sweep explores
+501,407 nodes where per-size deepening explores 703,415).
 
 Pruning is sound-only.  A branch is cut when a spanning number already
-exceeds the applicable upper bound with no way to recover, when a vertex that
-still needs a neighbor in the set has no remaining candidate neighbor, or by
-a counting bound: one new member newly satisfies at most Delta + 1 vertices
-(Delta for total kinds, whose members need an in-set neighbor themselves), so
-more unsatisfied vertices than ``picks left * gain`` cannot be repaired.  No
-spanning number exceeds Delta, so upper bounds at or above Delta are dropped
-and the per-node spanning levels hold at most Delta + 1 entries.
+exceeds the applicable upper bound with no way to recover, or by a counting
+bound: one new member newly satisfies at most Delta + 1 vertices (Delta for
+total kinds, whose members need an in-set neighbor themselves), so more
+unsatisfied vertices than ``picks left * gain`` cannot be repaired.  The loop
+over a node's candidates stops at the first candidate whose skipped
+predecessors leave an unsatisfied vertex with no supplier left (a neighbor,
+or the vertex itself for non-total kinds), so no dead child is entered; a
+prefix table makes that one AND per candidate.  No spanning number exceeds
+Delta, so upper bounds at or above Delta are dropped and the per-node
+spanning levels hold at most Delta + 1 entries.
 """
 
 from __future__ import annotations
@@ -24,16 +27,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Callable
 
 from .domsets import SetKind
-from .graphs import Graph
+from .graphs import Graph, GraphTooLargeError, check_vertex_cap  # noqa: F401 (re-exported)
 
 DEFAULT_MAX_N = 32
-
-
-class GraphTooLargeError(ValueError):
-    """Raised when a graph exceeds the solver cap and force is not set."""
 
 
 def resolve_cap(max_n: int | None = None) -> int:
@@ -56,10 +57,8 @@ def resolve_cap(max_n: int | None = None) -> int:
 
 def _check_cap(graph: Graph, max_n: int | None, force: bool) -> None:
     cap = resolve_cap(max_n)
-    if graph.n > cap and not force:
-        raise GraphTooLargeError(
-            f"graph has {graph.n} vertices, cap is {cap} (pass force=True to override)"
-        )
+    if not force:
+        check_vertex_cap(graph.n, cap)
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class _Search:
     """Bitmask DFS over candidate sets for one (graph, kind) pair."""
 
     __slots__ = (
-        "n", "adj", "full", "reach", "levels_len", "gain",
+        "n", "adj", "full", "dead_before", "levels_len", "gain",
         "hi_in", "hi_out", "member_needs_lo", "nodes",
     )
 
@@ -116,11 +115,15 @@ class _Search:
         finite = [b for b in (self.hi_in, self.hi_out) if b is not None]
         # levels[i] = mask of vertices with spanning number >= i + 1
         self.levels_len = (max(finite) + 1) if finite else 1
-        # reach[i] = vertices dominable by some candidate with id >= i
-        reach = [0] * (graph.n + 1)
-        for v in range(graph.n - 1, -1, -1):
-            reach[v] = reach[v + 1] | self.adj[v]
-        self.reach = reach
+        # A vertex's suppliers are its neighbors, plus itself when membership
+        # lifts its lower bound.  dead_before[v] = vertices whose suppliers all
+        # have ids below v: once the candidates start..v-1 are skipped, an
+        # unmet one among them can never be met.
+        buckets = [0] * (graph.n + 1)
+        for w, m in enumerate(self.adj):
+            own = 0 if self.member_needs_lo else 1 << w
+            buckets[(m | own).bit_length()] |= 1 << w
+        self.dead_before = list(accumulate(buckets[:graph.n], or_))
         self.nodes = 0
 
     def _valid_now(self, mask: int, needlo: int, levels: list[int]) -> bool:
@@ -178,22 +181,6 @@ class _Search:
                 cap = min(cap, (must & -must).bit_length() - 1)
         return cap
 
-    def _blocked(self, start: int, unmet: int) -> bool:
-        """Some vertex still needs an in-set neighbor it can no longer get.
-
-        ``unmet`` holds the vertices below their lower bound.  Those with no
-        remaining candidate neighbor are only dead when they cannot save
-        themselves by joining the set: membership removes the requirement
-        for non-total kinds, so there only ids below ``start`` (whose
-        membership is already fixed) count.
-        """
-        unreachable = unmet & ~self.reach[start]
-        if not unreachable:
-            return False
-        if self.member_needs_lo:
-            return True
-        return bool(unreachable & ((1 << start) - 1))
-
     def _rec(self, start: int, picked: int, mask: int, needlo: int,
              levels: list[int], size: int, exact: bool,
              on_solution: Callable[[int], bool]) -> bool:
@@ -201,15 +188,17 @@ class _Search:
 
         With ``exact`` only sets of exactly ``size`` members are tested;
         otherwise every extension of at most ``size`` members is.  A node is
-        cut when some vertex can no longer reach its lower bound, when the
-        unmet vertices outnumber what the picks left can satisfy (each new
-        member newly satisfies at most ``gain`` of them), or when no
-        candidate can repair an upper bound already exceeded.
+        cut when the unmet vertices outnumber what the picks left can
+        satisfy (each new member newly satisfies at most ``gain`` of them),
+        or when no candidate can repair an upper bound already exceeded.
+        The candidate loop stops once the candidates skipped so far,
+        ``start..v-1``, were the last suppliers of some unmet vertex; at
+        ``v = start`` that is the test for a node that is already dead.
         """
         self.nodes += 1
         remaining = size - picked
         unmet = needlo & ~levels[0]
-        if unmet.bit_count() > remaining * self.gain or self._blocked(start, unmet):
+        if unmet.bit_count() > remaining * self.gain:
             return False
         cap = self._candidate_bound(start, remaining, remaining if exact else 1, mask, levels)
         if cap < 0:
@@ -217,8 +206,11 @@ class _Search:
         hi_in = self.hi_in
         adj = self.adj
         levels_len = self.levels_len
+        dead_before = self.dead_before
         at_leaf = remaining == 1
         for v in range(start, cap + 1):
+            if unmet & dead_before[v]:
+                break  # skipping start..v-1 left an unmet vertex no supplier
             if hi_in is not None and (levels[hi_in] >> v) & 1:
                 continue  # joining would push v over its member bound
             new_levels = levels.copy()

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from domkit.cli import main
+from domkit import graphs
+from domkit.cli import KIND_TOKENS, _build_parser, main
 from domkit.graphs import build_standard, format_edge_list, load_graph, parse_edge_list
 
 
@@ -24,6 +25,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, capsys, c5_file):
+        calls = (("solve", c5_file, "--kind", "nope"), ("--help",),
+                 ("solve", c5_file, "--kind", "t1k", "--k", "2"))
+        first = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            first.append(run(capsys, *argv))
+        assert [code for code, _, _ in first] == [64, 0, 0]
+        _build_parser.cache_clear()
+        assert [run(capsys, *argv) for argv in calls] == first
+        assert _build_parser() is _build_parser()
 
 
 class TestGen:
@@ -84,6 +99,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(big), "--kind", "dom")
         assert code == 3 and "cap" in err
 
+    def test_huge_header_exits_3_before_building_the_graph(self, tmp_path, capsys,
+                                                           monkeypatch):
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000000 0\n")
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("graph built before the cap check")
+
+        monkeypatch.setattr(graphs, "Graph", no_graph)
+        code, out, err = run(capsys, "solve", str(huge), "--kind", "dom")
+        assert code == 3 and out == ""
+        assert "1000000000 vertices, cap is 32" in err
+
     def test_negative_cap_exits_1(self, tmp_path, capsys, monkeypatch):
         p5 = tmp_path / "p5.el"
         p5.write_text(format_edge_list(build_standard("path", 5)))
@@ -96,6 +124,30 @@ class TestSolve:
         big.write_text(format_edge_list(build_standard("star", 33)))
         code, out, _ = run(capsys, "solve", str(big), "--kind", "dom", "--force")
         assert code == 0 and json.loads(out)["gamma"] == 1
+
+    def test_every_kind_token(self, capsys, c5_file):
+        expected = {
+            "dom": ("dominating", None, None),
+            "total": ("total_dominating", None, None),
+            "1k": ("one_k", None, 3),
+            "t1k": ("total_one_k", None, 3),
+            "i1k": ("independent_one_k", None, 3),
+            "jd1k": ("j_dependent_one_k", 1, 3),
+            "jdt1k": ("j_dependent_total_one_k", 1, 3),
+            "eff": ("efficient", None, None),
+            "oeff": ("open_efficient", None, None),
+        }
+        assert KIND_TOKENS == tuple(expected)
+        for token, (base, j, k) in expected.items():
+            code, out, _ = run(capsys, "solve", c5_file, "--kind", token, "--j", "1", "--k", "3")
+            payload = json.loads(out)
+            assert code == 0 and (payload["kind"], payload["j"], payload["k"]) == (base, j, k)
+            if k is not None:
+                code, _, err = run(capsys, "solve", c5_file, "--kind", token, "--j", "1")
+                assert code == 64 and err == f"error: --k is required for kind {token}\n"
+            if j is not None:
+                code, _, err = run(capsys, "solve", c5_file, "--kind", token, "--k", "3")
+                assert code == 64 and err == f"error: --j is required for kind {token}\n"
 
     def test_pretty_output(self, capsys, c5_file):
         code, out, _ = run(capsys, "solve", c5_file, "--kind", "dom", "--pretty")

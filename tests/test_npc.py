@@ -1,3 +1,4 @@
+import hashlib
 import json
 from itertools import combinations
 
@@ -114,6 +115,26 @@ class TestBuildGadget:
         assert sidecar["roles"]["0"] == {"role": "cycle", "set": 0, "pos": 0}
         assert sidecar["roles"]["4"] == {"role": "connector", "set": 0, "slot": 0}
         assert sidecar["roles"]["7"] == {"role": "element", "element": 0}
+
+    def test_role_map_round_trips_every_vertex(self):
+        inst = X3CInstance(6, ((0, 1, 2), (1, 3, 4), (2, 4, 5)))
+        graph, meta = build_gadget(inst)
+        for vid in range(graph.n):
+            role = meta.role_of(vid)
+            if role["role"] == "cycle":
+                assert meta.cycles[role["set"]][role["pos"]] == vid
+            elif role["role"] == "connector":
+                assert meta.connectors[role["set"]][role["slot"]] == vid
+            else:
+                assert role["role"] == "element" and meta.elements[role["element"]] == vid
+        for vid in (-1, graph.n):
+            with pytest.raises(ValueError):
+                meta.role_of(vid)
+        # SHA-256 of the sidecar written by the earlier linear-scan role_of
+        sidecar = meta.to_sidecar_json()
+        assert len(sidecar) == 1250
+        assert hashlib.sha256(sidecar.encode()).hexdigest() == (
+            "35f520dbe86705090425a8997aa245f8b6e32a37dfca0eca1983dc7970e90a61")
 
 
 class TestCoverToWitness:

@@ -31,8 +31,10 @@ from domkit.domsets import (
     total_one_k,
 )
 from domkit.graphs import Graph, build_standard, complement, is_connected, lex_product
+from domkit.npc import X3CInstance, build_gadget
 from domkit.solvers import (
     GraphTooLargeError,
+    _Search,
     closed_form,
     enumerate_sets,
     exists_set,
@@ -183,6 +185,16 @@ class TestSearchEffort:
         two = min_set(c12, one_k(2))
         assert (huge.gamma, huge.witness, huge.nodes_explored) == (
             two.gamma, two.witness, two.nodes_explored)
+
+    def test_sweep_stops_at_the_first_dead_candidate(self):
+        # exists_set's sweep on two X3C gadgets: 6,330 and 1,020 nodes when
+        # every dead candidate was still entered as a child
+        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 1102),
+                                   (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 168)):
+            graph, meta = build_gadget(X3CInstance(6, sets))
+            search = _Search(graph, total_one_k(2))
+            assert search.run(0, meta.budget, lambda mask: True, any_size=True) is found
+            assert search.nodes <= nodes
 
 
 class TestEnumerateSets:
