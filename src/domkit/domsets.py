@@ -8,9 +8,9 @@ intervals for members of the candidate set and for vertices outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .graphs import Graph
+from .graphs import Graph, mask_to_ids
 
 VertexSet = frozenset[int]
 
@@ -134,6 +134,10 @@ def _as_vertex_set(graph: Graph, members: Iterable[int]) -> VertexSet:
     return s
 
 
+def _as_mask(graph: Graph, members: Iterable[int]) -> int:
+    return sum(1 << v for v in _as_vertex_set(graph, members))
+
+
 def spanning_number(graph: Graph, members: Iterable[int], v: int) -> int:
     """Number of neighbors of v inside the candidate set: |N(v) ∩ S|."""
     s = _as_vertex_set(graph, members)
@@ -142,11 +146,11 @@ def spanning_number(graph: Graph, members: Iterable[int], v: int) -> int:
 
 def satisfies(graph: Graph, members: Iterable[int], kind: SetKind) -> bool:
     """Decide whether the vertex set meets every bound of the named variant."""
-    s = _as_vertex_set(graph, members)
+    smask = _as_mask(graph, members)
     lo_in, hi_in, lo_out, hi_out = kind.bounds()
-    for v in range(graph.n):
-        sn = len(graph.neighbors(v) & s)
-        if v in s:
+    for v, nbrs in enumerate(graph.neighbor_masks):
+        sn = (nbrs & smask).bit_count()
+        if smask >> v & 1:
             if sn < lo_in or (hi_in is not None and sn > hi_in):
                 return False
         else:
@@ -155,17 +159,33 @@ def satisfies(graph: Graph, members: Iterable[int], kind: SetKind) -> bool:
     return True
 
 
+def scattered_test(graph: Graph) -> Callable[[int], bool]:
+    """Mask test for scattered sets on ``graph``: every member with no
+    in-set neighbor sits at distance >= 3 from every other member.
+
+    The masks of vertices at distance 1 or 2 are computed once, here, so the
+    returned test costs two ANDs per member.
+    """
+    adj = graph.neighbor_masks
+    near = []
+    for v, m in enumerate(adj):
+        reach = m
+        for w in mask_to_ids(m):
+            reach |= adj[w]
+        near.append(reach & ~(1 << v))
+
+    def scattered(s: int) -> bool:
+        for v in mask_to_ids(s):
+            if not adj[v] & s and near[v] & s:
+                return False
+        return True
+
+    return scattered
+
+
 def in_sd_class(graph: Graph, members: Iterable[int], j: int, k: int) -> bool:
     """Scattered-dependence test: a j-dependent [1,k]-set whose members with
     no in-set neighbor sit at distance >= 3 from every other member."""
     s = _as_vertex_set(graph, members)
-    if not satisfies(graph, s, j_dependent_one_k(j, k)):
-        return False
-    dist = graph.distance_matrix() if s else ()
-    for v in s:
-        if graph.neighbors(v) & s:
-            continue
-        for w in s:
-            if w != v and dist[v][w] < 3:
-                return False
-    return True
+    return (satisfies(graph, s, j_dependent_one_k(j, k))
+            and scattered_test(graph)(_as_mask(graph, s)))

@@ -1,14 +1,16 @@
 """Immutable simple graphs, standard families, and the lexicographic product.
 
-Vertices are always the integers ``0..n-1``.  Product vertices use the fixed
-encoding ``id(g, h) = g * n_h + h`` so that witnesses and reports are
-reproducible across runs.
+Vertices are always the integers ``0..n-1``.  Adjacency is stored only as
+one neighbour bitmask per vertex (bit ``w`` of ``mask[v]`` set iff v ~ w);
+every accessor, the breadth-first searches and the product construction read
+those masks, and neighbour sets are derived from them on request.  Product
+vertices use the fixed encoding ``id(g, h) = g * n_h + h`` so that witnesses
+and reports are reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,41 +31,59 @@ def check_vertex_cap(n: int, cap: int) -> None:
         )
 
 
+def mask_to_ids(mask: int) -> tuple[int, ...]:
+    """Ids of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
+    return tuple(out)
+
+
 class Graph:
-    """Undirected simple graph with adjacency-set representation.
+    """Undirected simple graph stored as one neighbour bitmask per vertex.
 
     Duplicate edges collapse, self-loops are rejected, adjacency is kept
     symmetric.  Instances are immutable after construction and safe to share
     between threads.
     """
 
-    __slots__ = ("n", "_adj", "_masks", "_dist")
+    __slots__ = ("n", "_masks", "_dist")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = tuple(sum(1 << w for w in s) for s in self._adj)
+        self._masks = tuple(masks)
         self._dist: tuple[tuple[float, ...], ...] | None = None
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: tuple[int, ...]) -> Graph:
+        """Graph from ``n`` neighbour masks that are already symmetric and loop-free."""
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph._masks = masks
+        graph._dist = None
+        return graph
 
     # -- basic accessors ---------------------------------------------------
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(mask_to_ids(self._masks[v]))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     @property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -72,23 +92,22 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Yield edges as (u, v) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v in sorted(self._adj[u]):
-                if u < v:
-                    yield (u, v)
+        for u, m in enumerate(self._masks):
+            for v in mask_to_ids(m >> (u + 1)):
+                yield (u, u + 1 + v)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self._masks) // 2
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
+        return max((m.bit_count() for m in self._masks), default=0)
 
     def min_degree(self) -> int:
-        return min((len(s) for s in self._adj), default=0)
+        return min((m.bit_count() for m in self._masks), default=0)
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if not self._adj[v])
+        return tuple(v for v, m in enumerate(self._masks) if not m)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -99,10 +118,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -115,16 +134,23 @@ class Graph:
             self._dist = tuple(self._bfs(v) for v in range(self.n))
         return self._dist
 
+    def _frontiers(self, source: int) -> Iterator[int]:
+        """Breadth-first layers from ``source`` as masks: distance 0, 1, 2, ..."""
+        masks = self._masks
+        seen = frontier = 1 << source
+        while frontier:
+            yield frontier
+            reached = 0
+            for u in mask_to_ids(frontier):
+                reached |= masks[u]
+            frontier = reached & ~seen
+            seen |= frontier
+
     def _bfs(self, source: int) -> tuple[float, ...]:
         dist: list[float] = [math.inf] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if dist[w] == math.inf:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        for d, frontier in enumerate(self._frontiers(source)):
+            for v in mask_to_ids(frontier):
+                dist[v] = d
         return tuple(dist)
 
 
@@ -153,14 +179,10 @@ def build_standard(family: str, n: int) -> Graph:
 
 def complement(graph: Graph) -> Graph:
     """Graph with edge {u, v} present iff absent in the input (u != v)."""
-    n = graph.n
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if v not in graph.neighbors(u)
-    ]
-    return Graph(n, edges)
+    full = (1 << graph.n) - 1
+    return Graph._from_masks(
+        graph.n, tuple(full ^ m ^ (1 << v) for v, m in enumerate(graph.neighbor_masks))
+    )
 
 
 def distance(graph: Graph, u: int, v: int) -> float:
@@ -174,9 +196,10 @@ def is_connected(graph: Graph) -> bool:
     """True iff a breadth-first search from vertex 0 reaches every vertex."""
     if graph.n < 1:
         raise ValueError("connectivity is defined for n >= 1")
-    if graph.n == 1:
-        return True
-    return all(d < math.inf for d in graph.distance_matrix()[0])
+    reached = 0
+    for frontier in graph._frontiers(0):
+        reached |= frontier
+    return reached == (1 << graph.n) - 1
 
 
 @dataclass(frozen=True)
@@ -217,17 +240,21 @@ class ProductIndex:
 
 
 def lex_product(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
-    """Lexicographic product: (g1,h1) ~ (g2,h2) iff g1~g2, or g1=g2 and h1~h2."""
-    idx = ProductIndex(g.n, h.n)
-    edges: list[Edge] = []
-    for u, v in g.edges():
-        for hu in range(h.n):
-            for hv in range(h.n):
-                edges.append((idx.id_of(u, hu), idx.id_of(v, hv)))
-    for gu in range(g.n):
-        for hu, hv in h.edges():
-            edges.append((idx.id_of(gu, hu), idx.id_of(gu, hv)))
-    return Graph(g.n * h.n, edges), idx
+    """Lexicographic product: (g1,h1) ~ (g2,h2) iff g1~g2, or g1=g2 and h1~h2.
+
+    Built from masks: vertex (g, h) sees the full layer of every neighbour of
+    g, plus its own layer's copy of h's neighbours.
+    """
+    n_h = h.n
+    layer = (1 << n_h) - 1
+    masks: list[int] = []
+    for gv, g_mask in enumerate(g.neighbor_masks):
+        across = 0
+        for gw in mask_to_ids(g_mask):
+            across |= layer << (gw * n_h)
+        shift = gv * n_h
+        masks.extend(across | (h_mask << shift) for h_mask in h.neighbor_masks)
+    return Graph._from_masks(g.n * n_h, tuple(masks)), ProductIndex(g.n, n_h)
 
 
 # -- edge-list text format ---------------------------------------------------

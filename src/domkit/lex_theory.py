@@ -23,11 +23,12 @@ from .domsets import (
     j_dependent_total_one_k,
     one_k,
     satisfies,
+    scattered_test,
     total_dominating,
     total_one_k,
 )
-from .graphs import Graph, ProductIndex, is_connected, lex_product
-from .solvers import GraphTooLargeError, enumerate_sets, exists_set, min_set
+from .graphs import Graph, ProductIndex, is_connected, lex_product, mask_to_ids
+from .solvers import GraphTooLargeError, enumerate_masks, exists_set, min_set
 
 PRODUCT_GAMMA_KINDS = ("plain", "total", "one_2", "total_one_2", "i_one_2", "i_one_k")
 
@@ -109,33 +110,20 @@ def _check_sd_scan_size(graph: Graph) -> None:
         )
 
 
-def _sd_filter(graph: Graph, members: frozenset[int]) -> bool:
-    dist = graph.distance_matrix()
-    for v in members:
-        if graph.neighbors(v) & members:
-            continue
-        for w in members:
-            if w != v and dist[v][w] < 3:
-                return False
-    return True
-
-
 def first_sd_set(graph: Graph, j: int, k: int) -> frozenset[int] | None:
     """Smallest (then lexicographically first) scattered j-dependent [1,k]-set."""
     _check_sd_scan_size(graph)
-    hit: list[frozenset[int]] = []
+    scattered = scattered_test(graph)
+    hit: list[int] = []
 
-    def grab(s: frozenset[int]) -> bool:
-        if _sd_filter(graph, s):
+    def grab(s: int) -> bool:
+        if scattered(s):
             hit.append(s)
             return True
         return False
 
-    for size in range(graph.n + 1):
-        enumerate_sets(graph, j_dependent_one_k(j, k), size, grab)
-        if hit:
-            return hit[0]
-    return None
+    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, grab)
+    return frozenset(mask_to_ids(hit[0])) if hit else None
 
 
 def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset[int]] | None:
@@ -145,21 +133,22 @@ def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset
     the first set achieving it, or None when no such set exists.
     """
     _check_sd_scan_size(graph)
-    best: list[tuple[int, frozenset[int]]] = []
+    scattered = scattered_test(graph)
+    adj = graph.neighbor_masks
+    best: list[int] = []  # [value, mask] of the first set reaching the minimum
 
-    def consider(s: frozenset[int]) -> bool:
-        if _sd_filter(graph, s):
-            alpha = sum(1 for v in s if not graph.neighbors(v) & s)
-            value = len(s) + alpha
-            if not best or value < best[0][0]:
-                best[:] = [(value, s)]
+    def consider(s: int) -> bool:
+        size = s.bit_count()
+        if best and size >= best[0]:
+            return True  # |S| + alpha >= |S|, so this and larger sets cannot improve
+        if scattered(s):
+            value = size + sum(1 for v in mask_to_ids(s) if not adj[v] & s)
+            if not best or value < best[0]:
+                best[:] = [value, s]
         return False
 
-    for size in range(graph.n + 1):
-        if best and size >= best[0][0]:
-            break  # |S| + alpha >= |S|, so larger sizes cannot improve
-        enumerate_sets(graph, j_dependent_one_k(j, k), size, consider)
-    return best[0] if best else None
+    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, consider)
+    return (best[0], frozenset(mask_to_ids(best[1]))) if best else None
 
 
 # -- shared helpers -----------------------------------------------------------

@@ -32,7 +32,12 @@ from operator import or_
 from typing import Callable
 
 from .domsets import SetKind
-from .graphs import Graph, GraphTooLargeError, check_vertex_cap  # noqa: F401 (re-exported)
+from .graphs import (  # noqa: F401 (GraphTooLargeError is re-exported)
+    Graph,
+    GraphTooLargeError,
+    check_vertex_cap,
+    mask_to_ids,
+)
 
 DEFAULT_MAX_N = 32
 
@@ -236,15 +241,6 @@ class _Search:
         return False
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask ^= bit
-    return tuple(out)
-
-
 def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
             max_n: int | None = None, force: bool = False) -> SolveResult:
     """Exact minimum set of the given kind, or nonexistence.
@@ -265,7 +261,7 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
 
     search.run(0, top, grab)
     if found:
-        witness = _mask_to_tuple(found[0])
+        witness = mask_to_ids(found[0])
         return SolveResult(kind, True, len(witness), witness, search.nodes)
     return SolveResult(kind, False, None, None, search.nodes)
 
@@ -283,16 +279,26 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     return search.run(0, top, lambda mask: True, any_size=True)
 
 
+def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
+                    on_solution: Callable[[int], bool], *,
+                    max_n: int | None = None, force: bool = False) -> None:
+    """Invoke the callback on every satisfying set of ``min_size..max_size``
+    members, as a bitmask: sizes ascending, lexicographic order within a
+    size.  The callback returns True to stop early."""
+    if min_size < 0:
+        raise ValueError("size must be non-negative")
+    _check_cap(graph, max_n, force)
+    _Search(graph, kind).run(min_size, max_size, on_solution)
+
+
 def enumerate_sets(graph: Graph, kind: SetKind, size: int,
                    on_solution: Callable[[frozenset[int]], bool], *,
                    max_n: int | None = None, force: bool = False) -> None:
     """Invoke the callback on every satisfying set of the exact size, in
     lexicographic order; the callback returns True to stop early."""
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    _check_cap(graph, max_n, force)
-    search = _Search(graph, kind)
-    search.run(size, size, lambda mask: on_solution(frozenset(_mask_to_tuple(mask))))
+    enumerate_masks(graph, kind, size, size,
+                    lambda mask: on_solution(frozenset(mask_to_ids(mask))),
+                    max_n=max_n, force=force)
 
 
 def closed_form(family: str, n: int, kind: str, k: int = 2) -> int:

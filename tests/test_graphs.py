@@ -1,8 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import atlas_by_order
 
 from domkit.graphs import (
     Graph,
@@ -121,8 +124,80 @@ class TestConnectivity:
     def test_k1_connected(self):
         assert is_connected(build_standard("path", 1))
 
+    def test_one_search_without_the_distance_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("is_connected must not build all-pairs distances")
+
+        monkeypatch.setattr(Graph, "distance_matrix", refuse)
+        assert is_connected(build_standard("path", 2000))
+        assert not is_connected(Graph(2000, [(i, i + 1) for i in range(1999) if i != 1000]))
+        assert not is_connected(build_standard("empty", 2))
+
+
+class SetGraph:
+    """Adjacency-set reference for ``Graph``, built straight from the definition."""
+
+    def __init__(self, n, edges):
+        self.adj = [set() for _ in range(n)]
+        for u, v in edges:
+            self.adj[u].add(v)
+            self.adj[v].add(u)
+        self.key = (n, tuple(frozenset(s) for s in self.adj))
+
+    def edges(self):
+        return [(u, v) for u, s in enumerate(self.adj) for v in sorted(s) if u < v]
+
+
+class TestMasksAgainstSetReference:
+    def test_accessors_equality_and_hash(self):
+        rng = random.Random(0x6A5)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = [p for p in pairs if rng.random() < rng.choice((0.1, 0.4, 0.8))]
+            g, ref = Graph(n, edges), SetGraph(n, edges)
+            assert list(g.edges()) == ref.edges()
+            assert [g.neighbors(v) for v in range(n)] == [frozenset(s) for s in ref.adj]
+            assert [g.degree(v) for v in range(n)] == [len(s) for s in ref.adj]
+            assert g.num_edges == len(ref.edges())
+            assert g.isolated_vertices() == tuple(v for v in range(n) if not ref.adj[v])
+            # the same edge set given in another order, reversed and repeated
+            shuffled = [(v, u) for u, v in edges] + edges
+            rng.shuffle(shuffled)
+            same = Graph(n, shuffled)
+            assert same == g and hash(same) == hash(g)
+            if pairs:
+                toggled = set(edges) ^ {rng.choice(pairs)}
+                assert SetGraph(n, toggled).key != ref.key
+                assert Graph(n, toggled) != g
+            assert Graph(n + 1, edges) != g
+
+
+def lex_product_by_definition(g, h):
+    """G o H from the definition, as an edge list over ids g * n_h + h."""
+    m = h.n
+    edges = []
+    for g1 in range(g.n):
+        for h1 in range(m):
+            for g2 in range(g.n):
+                for h2 in range(m):
+                    if g2 in g.neighbors(g1) or (g1 == g2 and h2 in h.neighbors(h1)):
+                        edges.append((g1 * m + h1, g2 * m + h2))
+    return Graph(g.n * m, edges)
+
 
 class TestLexProduct:
+    def test_matches_definition_on_every_atlas_pair(self):
+        # every graph on 1..4 vertices as either factor, K1 and edgeless H included
+        atlas = [g for graphs in atlas_by_order(4).values() for g in graphs]
+        assert len(atlas) == 18
+        for g in atlas:
+            for h in atlas:
+                product, idx = lex_product(g, h)
+                assert product == lex_product_by_definition(g, h)
+                assert list(product.edges()) == list(lex_product_by_definition(g, h).edges())
+                assert (idx.n_g, idx.n_h) == (g.n, h.n)
+
     def test_identity_factor(self):
         h = build_standard("path", 4)
         p, idx = lex_product(build_standard("path", 1), h)

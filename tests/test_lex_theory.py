@@ -1,11 +1,17 @@
 import json
+import math
+import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
-from conftest import random_connected_graph, random_graph
+from conftest import naive_satisfies, random_connected_graph, random_graph
 
 from domkit.domsets import (
+    in_sd_class,
     independent_one_k,
+    j_dependent_one_k,
     satisfies,
     total_dominating,
     total_one_k,
@@ -52,6 +58,48 @@ class TestSdScans:
         # on P4, {0,1} (value 2+0) beats {1} (not dominating 3)
         value, members = min_sd_size_plus_alpha(P(4), 1, 2)
         assert value == 2 and members in ({0, 1}, {1, 2}, {2, 3})
+
+    def test_scans_match_a_brute_force_subset_scan(self):
+        # subsets in (size, lexicographic) order, bounds by naive_satisfies,
+        # distances by networkx; in_sd_class must agree on every subset
+        rng = random.Random(0x5CA7)
+        hits = 0
+        for _ in range(40):
+            n = rng.randint(1, 9) if rng.random() < 0.2 else rng.randint(6, 9)
+            g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5, 0.7)))
+            nxg = nx.Graph(list(g.edges()))
+            nxg.add_nodes_from(range(n))
+            dist = dict(nx.all_pairs_shortest_path_length(nxg))
+
+            def lonely(members):
+                return [v for v in members if not any(w in members for w in nxg[v])]
+
+            def scattered(members):
+                return all(w == v or dist[v].get(w, math.inf) >= 3
+                           for v in lonely(members) for w in members)
+
+            for j, k in ((0, 2), (1, 2), (2, 2), (1, 3)):
+                first, best = None, None
+                for size in range(n + 1):
+                    for combo in combinations(range(n), size):
+                        members = set(combo)
+                        ok = (naive_satisfies(g, members, j_dependent_one_k(j, k))
+                              and scattered(members))
+                        assert in_sd_class(g, members, j, k) == ok
+                        if not ok:
+                            continue
+                        if first is None:
+                            first = frozenset(combo)
+                        value = size + len(lonely(members))
+                        if best is None or value < best[0]:
+                            best = (value, frozenset(combo))
+                assert first_sd_set(g, j, k) == first
+                got = min_sd_size_plus_alpha(g, j, k)
+                assert got == best
+                if got is not None:
+                    assert sorted(got[1]) == sorted(best[1])
+                hits += first is not None
+        assert hits > 40
 
 
 class TestCharacterizeTotal:
