@@ -184,16 +184,15 @@ def _mixed_witness(idx: ProductIndex, graph: Graph, members: frozenset[int],
 def _finish(product: Graph, idx: ProductIndex, kind: SetKind,
             candidate: frozenset[int] | None, membership: bool,
             matched: int | str | None, gamma: int | None) -> ProductAnalysis:
-    """Validate the constructed witness, falling back to the explicit oracle."""
+    """Validate the constructed witness on the product.
+
+    A construction that fails validation is reported, not repaired: the
+    predicted membership and value stand and the witness is None, so no
+    search ever runs on the explicit product here.
+    """
     witness: tuple[int, ...] | None = None
     if membership and candidate is not None and satisfies(product, candidate, kind):
         witness = tuple(sorted(candidate))
-    elif membership:
-        try:
-            r = min_set(product, kind)
-            witness = r.witness
-        except GraphTooLargeError:
-            witness = None
     profile = idx.layer_profile(witness) if witness is not None else None
     return ProductAnalysis(membership, matched, gamma, witness, profile)
 
@@ -444,16 +443,16 @@ def _total_one_2_cases(g: Graph, h: Graph, product: Graph, idx: ProductIndex,
     if r_dept.exists:
         candidates.append((r_dept.gamma, "case2a",
                            _cross(idx, r_dept.witness, (0,))))
-    gamma_h, pair_h = _one_2_pair(h)
-    if gamma_h == 2:
+    # The layer of a lonely member (no in-set G-neighbor) alone dominates that
+    # layer, so it is a total [1,2]-set of H; the two vertices the value counts
+    # for it must be an edge of H that dominates H, whatever gamma_[1,2](H) is.
+    pair = min_set(h, total_one_k(2), limit=2)
+    if pair.exists:
         sd = min_sd_size_plus_alpha(g, 1, 2)
         if sd is not None:
             value, members = sd
-            # a total witness needs an adjacent pair above the lonely members
-            adj_pair = min_set(h, total_one_k(2), limit=2)
-            pair = adj_pair.witness if adj_pair.exists else pair_h
             candidates.append((value, "case2b",
-                               _mixed_ordered(idx, g, members, pair[0], pair[1])))
+                               _mixed_ordered(idx, g, members, *pair.witness)))
     return _pick(product, idx, target, candidates, "case2c_nonexistent")
 
 

@@ -19,6 +19,19 @@ or the vertex itself for non-total kinds), so no dead child is entered; a
 prefix table makes that one AND per candidate.  No spanning number exceeds
 Delta, so upper bounds at or above Delta are dropped and the per-node
 spanning levels hold at most Delta + 1 entries.
+
+Exact-size deepening stops early by the termination test of iterative
+deepening (Korf, 1985): a pass in which no cut depended on the target size
+proves that no larger size has a solution either.  The size-dependent cuts
+are the counting bound, the count of vertices that must still join, and the
+leaf level itself; every other cut (upper bounds, dead candidates) fires
+only on sets that no extension can repair, at any size.  A larger target
+keeps those cuts, lowers the last usable candidate id and only relaxes the
+size-dependent cuts, so when none of them fired its tree holds no node
+that this pass did not reach, down to this pass's leaf level, and no node
+there has a child, or this pass would have flagged that child as a leaf.
+The larger search thus tests no set at all, and a nonexistence proof costs
+one pass, not n.
 """
 
 from __future__ import annotations
@@ -101,7 +114,7 @@ class _Search:
 
     __slots__ = (
         "n", "adj", "full", "dead_before", "levels_len", "gain",
-        "hi_in", "hi_out", "member_needs_lo", "nodes",
+        "hi_in", "hi_out", "member_needs_lo", "nodes", "size_cut",
     )
 
     def __init__(self, graph: Graph, kind: SetKind) -> None:
@@ -130,6 +143,7 @@ class _Search:
             buckets[(m | own).bit_length()] |= 1 << w
         self.dead_before = list(accumulate(buckets[:graph.n], or_))
         self.nodes = 0
+        self.size_cut = False
 
     def _valid_now(self, mask: int, needlo: int, levels: list[int]) -> bool:
         if needlo & ~levels[0]:
@@ -145,7 +159,10 @@ class _Search:
         With ``any_size`` every valid subset of size <= max_size is a solution
         candidate, found in one variable-size sweep; otherwise only subsets of
         each exact target size are, one size at a time.  The callback returns
-        True to stop the whole search.
+        True to stop the whole search.  Deepening ends after a pass that no
+        size-dependent cut touched (``size_cut`` stays False): it tested no
+        set of the full target size and pruned nothing for lack of picks, so
+        every larger target would explore the same tree and find nothing.
         """
         empty = [0] * self.levels_len  # _rec copies levels before changing them
         if any_size or min_size == 0:
@@ -157,8 +174,11 @@ class _Search:
             return max_size > 0 and self._rec(0, 0, 0, self.full, empty, max_size, False,
                                               on_solution)
         for size in range(max(min_size, 1), min(max_size, self.n) + 1):
+            self.size_cut = False
             if self._rec(0, 0, 0, self.full, empty, size, True, on_solution):
                 return True
+            if not self.size_cut:
+                return False  # every larger size would explore this same tree
         return False
 
     def _candidate_bound(self, start: int, remaining: int, required: int,
@@ -182,6 +202,7 @@ class _Search:
                 if self.hi_in is not None and (must & levels[self.hi_in]):
                     return -1
                 if must.bit_count() > remaining:
+                    self.size_cut = True
                     return -1
                 cap = min(cap, (must & -must).bit_length() - 1)
         return cap
@@ -199,11 +220,15 @@ class _Search:
         The candidate loop stops once the candidates skipped so far,
         ``start..v-1``, were the last suppliers of some unmet vertex; at
         ``v = start`` that is the test for a node that is already dead.
+        Whenever a cut depends on ``size`` (the counting bound, too many
+        vertices that must join, or a child that would be extended if more
+        picks were left), ``size_cut`` is set for ``run``'s stop test.
         """
         self.nodes += 1
         remaining = size - picked
         unmet = needlo & ~levels[0]
         if unmet.bit_count() > remaining * self.gain:
+            self.size_cut = True
             return False
         cap = self._candidate_bound(start, remaining, remaining if exact else 1, mask, levels)
         if cap < 0:
@@ -232,6 +257,7 @@ class _Search:
             new_needlo = needlo if self.member_needs_lo else needlo & ~(1 << v)
             if at_leaf:
                 self.nodes += 1
+                self.size_cut = True  # a larger size would extend this child
             if (at_leaf or not exact) and self._valid_now(new_mask, new_needlo, new_levels):
                 if on_solution(new_mask):
                     return True

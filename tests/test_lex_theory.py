@@ -6,7 +6,13 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from conftest import naive_satisfies, random_connected_graph, random_graph
+from conftest import (
+    atlas_by_order,
+    brute_min,
+    naive_satisfies,
+    random_connected_graph,
+    random_graph,
+)
 
 from domkit.domsets import (
     in_sd_class,
@@ -16,7 +22,8 @@ from domkit.domsets import (
     total_dominating,
     total_one_k,
 )
-from domkit.graphs import build_standard, lex_product
+from domkit import lex_theory
+from domkit.graphs import Graph, build_standard, is_connected, lex_product
 from domkit.lex_theory import (
     DisconnectedFactorError,
     characterize_independent,
@@ -216,6 +223,76 @@ class TestProductGamma:
             product_gamma(P(2), P(2), "nope")
         with pytest.raises(ValueError):
             product_gamma(P(2), P(2), "one_2", k=3)
+
+
+SPIDER = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)])
+
+
+def _atlas_pairs():
+    """Connected G on 1..6 vertices with any H on 1..4: 2,574 pairs, products <= 24."""
+    atlas = atlas_by_order(6)
+    hs = [h for order in range(1, 5) for h in atlas[order]]
+    for order in range(1, 7):
+        for g in atlas[order]:
+            if is_connected(g):
+                yield from ((g, h) for h in hs)
+
+
+class TestTotalOne2Prediction:
+    """Lonely members (no in-set G-neighbor) need an edge of H that dominates
+    H above them; gamma_[1,2](H) = 2 neither implies nor is implied by one."""
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_spider_with_complete_layer(self, m):
+        # gamma_[1,2](K_m) = 1, yet every edge of K_m dominates it
+        h = build_standard("complete", m)
+        r = verify_against_oracle(SPIDER, h, "total_one_2")
+        assert r.agree and r.prediction == r.oracle == 6
+        assert r.matched_condition == "case2b"
+        assert r.witness_pred == r.witness_oracle
+        if m == 2:
+            assert r.witness_oracle == (0, 1, 8, 9, 10, 11)
+        assert characterize_total(SPIDER, h, 2).membership
+
+    def test_atlas_grid_against_exhaustive_search(self):
+        kind = total_one_k(2)
+        wins = {}
+        for g, h in _atlas_pairs():
+            a = product_gamma(g, h, "total_one_2")
+            product, _ = lex_product(g, h)
+            if product.n <= 12:
+                gamma, _ = brute_min(product, kind)
+            else:
+                gamma = min_set(product, kind).gamma
+            assert (a.membership, a.predicted_gamma) == (gamma is not None, gamma), (
+                list(g.edges()), list(h.edges()), h.n, a.matched_condition)
+            if a.membership:
+                assert naive_satisfies(product, set(a.witness), kind)
+            wins[a.matched_condition] = wins.get(a.matched_condition, 0) + 1
+        assert wins["case2b"] >= 20 and wins["case2c_nonexistent"] >= 20
+
+    def test_characterization_agrees_without_an_oracle(self):
+        for g, h in _atlas_pairs():
+            assert (characterize_total(g, h, 2).membership
+                    == product_gamma(g, h, "total_one_2").membership), (
+                list(g.edges()), list(h.edges()), h.n)
+
+
+class TestFailedConstruction:
+    def test_reported_without_searching_the_product(self, monkeypatch):
+        product_sizes = []
+        real_min_set = lex_theory.min_set
+
+        def recording_min_set(graph, kind, *args, **kwargs):
+            product_sizes.append(graph.n)
+            return real_min_set(graph, kind, *args, **kwargs)
+
+        monkeypatch.setattr(lex_theory, "min_set", recording_min_set)
+        monkeypatch.setattr(lex_theory, "_cross", lambda idx, g_part, h_part: frozenset())
+        a = product_gamma(P(4), P(4), "one_2")
+        assert (a.membership, a.predicted_gamma, a.matched_condition) == (True, 2, "case2b")
+        assert a.witness is None and a.layer_profile is None
+        assert product_sizes and max(product_sizes) == 4  # factor solves only
 
 
 class TestCorollaryValues:

@@ -30,12 +30,20 @@ from domkit.domsets import (
     total_dominating,
     total_one_k,
 )
-from domkit.graphs import Graph, build_standard, complement, is_connected, lex_product
+from domkit.graphs import (
+    Graph,
+    build_standard,
+    complement,
+    is_connected,
+    lex_product,
+    mask_to_ids,
+)
 from domkit.npc import X3CInstance, build_gadget
 from domkit.solvers import (
     GraphTooLargeError,
     _Search,
     closed_form,
+    enumerate_masks,
     enumerate_sets,
     exists_set,
     min_set,
@@ -195,6 +203,61 @@ class TestSearchEffort:
             search = _Search(graph, total_one_k(2))
             assert search.run(0, meta.budget, lambda mask: True, any_size=True) is found
             assert search.nodes <= nodes
+
+
+class TestDeepeningStopRule:
+    """Exact-size deepening ends after a pass that no size-dependent cut
+    touched, so every size range must still list exactly the sets a subset
+    scan finds, and a nonexistence proof must cost one pass."""
+
+    def test_enumerate_masks_matches_brute_force_on_size_ranges(self):
+        rng = random.Random(0x57095)
+        kinds = _kinds_k_up_to_7()
+        for n in range(1, 11):
+            for p in (0.2, 0.45, 0.75):
+                g = random_graph(rng, n, p)
+                for kind in kinds:
+                    hits = brute_all(g, kind)
+                    seen = []
+                    enumerate_masks(g, kind, 0, n,
+                                    lambda m: (seen.append(mask_to_ids(m)), False)[1])
+                    assert seen == hits, (g, kind)
+                    lo = rng.randint(0, n)
+                    hi = rng.choice((n, rng.randint(lo, n)))
+                    seen = []
+                    enumerate_masks(g, kind, lo, hi,
+                                    lambda m: (seen.append(mask_to_ids(m)), False)[1])
+                    assert seen == [h for h in hits if lo <= len(h) <= hi], (g, kind, lo, hi)
+
+    def test_kinds_that_often_do_not_exist(self):
+        rng = random.Random(0xE11)
+        kinds = (efficient(), open_efficient(), independent_one_k(1), independent_one_k(2),
+                 total_one_k(1), total_one_k(2), j_dependent_total_one_k(1, 2))
+        missing = 0
+        for _ in range(100):
+            n = rng.randint(5, 10)
+            g = random_graph(rng, n, rng.choice((0.25, 0.4, 0.6)))
+            for kind in kinds:
+                hits = brute_all(g, kind)
+                r = min_set(g, kind)
+                assert r.witness == (hits[0] if hits else None), (g, kind)
+                missing += not hits
+                lo = rng.randint(0, n)
+                seen = []
+                enumerate_masks(g, kind, lo, n,
+                                lambda m: (seen.append(mask_to_ids(m)), False)[1])
+                assert seen == [h for h in hits if len(h) >= lo], (g, kind, lo)
+        assert missing >= 300  # half of the 700 cases have no set at all
+
+    def test_nonexistence_proofs_take_one_pass(self):
+        # 406 and 8,824 nodes when every target size up to n was searched;
+        # the corollary table also has no independent [1,2]-set for C4 o C4
+        for n, m, kind, nodes in ((4, 4, independent_one_k(2), 151),
+                                  (5, 4, total_one_k(2), 4050)):
+            product, _ = lex_product(build_standard("cycle", n), build_standard("cycle", m))
+            r = min_set(product, kind)
+            assert (r.exists, r.gamma, r.witness) == (False, None, None)
+            assert r.nodes_explored <= nodes, (n, m, kind)
 
 
 class TestEnumerateSets:
