@@ -26,7 +26,6 @@ from .domsets import (
 )
 from .graphs import build_standard, format_edge_list, lex_product, load_graph, save_graph
 from .lex_theory import (
-    DisconnectedFactorError,
     characterize_independent,
     characterize_total,
     product_gamma,
@@ -250,8 +249,6 @@ def _build_parser() -> _Parser:
     p_thm.add_argument("--kind", choices=tuple(PRODUCT_KIND_TOKENS), default="one2")
     p_thm.add_argument("--k", type=int, default=2)
     p_thm.add_argument("--compare-oracle", action="store_true")
-    p_thm.add_argument("--strict", action="store_true",
-                       help="kept for scripting clarity; disagreement always exits 2")
     p_thm.add_argument("--force", action="store_true")
     p_thm.add_argument("--pretty", action="store_true")
     p_thm.set_defaults(fn=_cmd_theorem)
@@ -283,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except DisconnectedFactorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SystemExit as exc:

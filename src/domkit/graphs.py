@@ -49,7 +49,7 @@ class Graph:
     between threads.
     """
 
-    __slots__ = ("n", "_masks", "_dist")
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -64,7 +64,6 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self._masks = tuple(masks)
-        self._dist: tuple[tuple[float, ...], ...] | None = None
 
     @classmethod
     def _from_masks(cls, n: int, masks: tuple[int, ...]) -> Graph:
@@ -72,7 +71,6 @@ class Graph:
         graph = cls.__new__(cls)
         graph.n = n
         graph._masks = masks
-        graph._dist = None
         return graph
 
     # -- basic accessors ---------------------------------------------------
@@ -128,12 +126,6 @@ class Graph:
 
     # -- distances ----------------------------------------------------------
 
-    def distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        """All-pairs shortest-path lengths (``math.inf`` when disconnected)."""
-        if self._dist is None:
-            self._dist = tuple(self._bfs(v) for v in range(self.n))
-        return self._dist
-
     def _frontiers(self, source: int) -> Iterator[int]:
         """Breadth-first layers from ``source`` as masks: distance 0, 1, 2, ..."""
         masks = self._masks
@@ -145,13 +137,6 @@ class Graph:
                 reached |= masks[u]
             frontier = reached & ~seen
             seen |= frontier
-
-    def _bfs(self, source: int) -> tuple[float, ...]:
-        dist: list[float] = [math.inf] * self.n
-        for d, frontier in enumerate(self._frontiers(source)):
-            for v in mask_to_ids(frontier):
-                dist[v] = d
-        return tuple(dist)
 
 
 def build_standard(family: str, n: int) -> Graph:
@@ -189,7 +174,11 @@ def distance(graph: Graph, u: int, v: int) -> float:
     """Shortest-path length between u and v; ``math.inf`` when disconnected."""
     graph._check_vertex(u)
     graph._check_vertex(v)
-    return graph.distance_matrix()[u][v]
+    target = 1 << v
+    for d, frontier in enumerate(graph._frontiers(u)):
+        if frontier & target:
+            return d
+    return math.inf
 
 
 def is_connected(graph: Graph) -> bool:

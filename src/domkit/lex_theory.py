@@ -2,17 +2,20 @@
 
 Every evaluator answers questions about the product ``G o H`` by solving only
 on the factors: total/independent membership via structural conditions, and
-minimum sizes via the case analysis over layer shapes.  Constructed witnesses
-are always validated against the product; predictions can be cross-checked
-against the explicit-product oracle, with disagreements returned as data
-rather than raised, because a wrong prediction is a finding, not a crash.
+minimum sizes via the case analysis over layer shapes.  Each case returns a
+layer plan (G-vertices with the H-vertices their layers carry), and
+``_finish`` is the only place a prediction turns a plan into product ids and
+builds the explicit product, solely to validate that witness.  Predictions
+can be cross-checked against the explicit-product oracle, with disagreements
+returned as data rather than raised, because a wrong prediction is a
+finding, not a crash.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, fields
+from typing import Collection
 
 from .domsets import (
     SetKind,
@@ -39,8 +42,20 @@ class DisconnectedFactorError(ValueError):
     """The first factor must be connected for the product theorems to apply."""
 
 
+class _Record:
+    """JSON form of the report dataclasses: fields in declaration order, tuples
+    as lists."""
+
+    def to_dict(self) -> dict:
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
+
 @dataclass(frozen=True)
-class ProductAnalysis:
+class ProductAnalysis(_Record):
     """Outcome of a product-theorem evaluation.
 
     ``matched_condition`` names the condition or subcase that decided the
@@ -54,21 +69,9 @@ class ProductAnalysis:
     witness: tuple[int, ...] | None
     layer_profile: tuple[int, ...] | None
 
-    def to_dict(self) -> dict:
-        return {
-            "membership": self.membership,
-            "matched_condition": self.matched_condition,
-            "predicted_gamma": self.predicted_gamma,
-            "witness": None if self.witness is None else list(self.witness),
-            "layer_profile": None if self.layer_profile is None else list(self.layer_profile),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(_Record):
     """Side-by-side record of a theorem prediction and the explicit oracle."""
 
     kind: str
@@ -80,22 +83,6 @@ class DiscrepancyReport:
     witness_pred: tuple[int, ...] | None
     witness_oracle: tuple[int, ...] | None
     layer_profile: tuple[int, ...] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "prediction": self.prediction,
-            "oracle": self.oracle,
-            "agree": self.agree,
-            "matched_condition": self.matched_condition,
-            "witness_pred": None if self.witness_pred is None else list(self.witness_pred),
-            "witness_oracle": None if self.witness_oracle is None else list(self.witness_oracle),
-            "layer_profile": None if self.layer_profile is None else list(self.layer_profile),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 # -- scattered-dependent set scans -------------------------------------------
@@ -164,36 +151,34 @@ def _check_k(k: int) -> None:
         raise ValueError(f"product theorems require k >= 2, got {k}")
 
 
-def _cross(idx: ProductIndex, g_part: Iterable[int], h_part: Iterable[int]) -> frozenset[int]:
-    return frozenset(idx.id_of(g, h) for g in g_part for h in h_part)
+def _layers(idx: ProductIndex, g: Graph, members: Collection[int],
+            shared: Collection[int], lonely: Collection[int] = ()) -> frozenset[int]:
+    """Product ids of a layer plan: every G-vertex in ``members`` carries the
+    H-vertices ``shared`` in its layer, and members with no in-set
+    G-neighbor also carry ``lonely``."""
+    inside = sum(1 << v for v in members)
+    adj = g.neighbor_masks
+    alone = (*shared, *lonely)
+    return frozenset(idx.id_of(v, u) for v in members
+                     for u in (shared if adj[v] & inside else alone))
 
 
-def _mixed_witness(idx: ProductIndex, graph: Graph, members: frozenset[int],
-                   h_set: Iterable[int]) -> frozenset[int]:
-    """Members with no in-set neighbor carry a full copy of ``h_set``; the
-    rest carry only its first vertex."""
-    h_list = sorted(h_set)
-    anchor = h_list[:1]
-    out: set[int] = set()
-    for v in sorted(members):
-        rows = h_list if not graph.neighbors(v) & members else anchor
-        out.update(idx.id_of(v, h) for h in rows)
-    return frozenset(out)
-
-
-def _finish(product: Graph, idx: ProductIndex, kind: SetKind,
-            candidate: frozenset[int] | None, membership: bool,
+def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: bool,
             matched: int | str | None, gamma: int | None) -> ProductAnalysis:
-    """Validate the constructed witness on the product.
+    """Build the planned witness and validate it on the explicit product.
 
-    A construction that fails validation is reported, not repaired: the
-    predicted membership and value stand and the witness is None, so no
-    search ever runs on the explicit product here.
+    This is the only place a prediction builds the product.  A construction
+    that fails validation is reported, not repaired: the predicted membership
+    and value stand and the witness is None, so no search ever runs on the
+    explicit product here.
     """
-    witness: tuple[int, ...] | None = None
-    if membership and candidate is not None and satisfies(product, candidate, kind):
-        witness = tuple(sorted(candidate))
-    profile = idx.layer_profile(witness) if witness is not None else None
+    witness = profile = None
+    if plan is not None:
+        product, idx = lex_product(g, h)
+        candidate = _layers(idx, g, *plan)
+        if satisfies(product, candidate, kind):
+            witness = tuple(sorted(candidate))
+            profile = idx.layer_profile(witness)
     return ProductAnalysis(membership, matched, gamma, witness, profile)
 
 
@@ -211,14 +196,12 @@ def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     """
     _check_k(k)
     _require_connected(g)
-    product, idx = lex_product(g, h)
     t1k_kind = total_one_k(k)
 
     if g.n == 1:
         r = min_set(h, t1k_kind)
-        cand = frozenset(r.witness) if r.exists else None
-        return _finish(product, idx, t1k_kind, cand, r.exists,
-                       1 if r.exists else None, None)
+        plan = ((0,), r.witness) if r.exists else None
+        return _finish(g, h, t1k_kind, plan, r.exists, 1 if r.exists else None, None)
 
     iso = h.isolated_vertices()
     if iso:
@@ -227,25 +210,23 @@ def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
         r = min_set(g, j_dependent_total_one_k(k - 1, k))
     if r.exists:
         u_star = iso[0] if iso else 0
-        cand = _cross(idx, r.witness, (u_star,))
-        return _finish(product, idx, t1k_kind, cand, True, 2, None)
+        return _finish(g, h, t1k_kind, (r.witness, (u_star,)), True, 2, None)
 
     h_small_total = min_set(h, t1k_kind, limit=k)
     if h_small_total.exists:
+        t = h_small_total.witness
         r_eff = min_set(g, efficient())
         if r_eff.exists:
-            cand = _cross(idx, r_eff.witness, h_small_total.witness)
-            return _finish(product, idx, t1k_kind, cand, True, 3, None)
+            return _finish(g, h, t1k_kind, (r_eff.witness, t), True, 3, None)
         sd = first_sd_set(g, k - 1, k)
         if sd is not None:
-            cand = _mixed_witness(idx, g, sd, h_small_total.witness)
-            return _finish(product, idx, t1k_kind, cand, True, 4, None)
+            return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), True, 4, None)
     h_half_total = min_set(h, t1k_kind, limit=k // 2)
     if h_half_total.exists:
+        t = h_half_total.witness
         r_dep = min_set(g, j_dependent_one_k(k - 1, k))
         if r_dep.exists:
-            cand = _mixed_witness(idx, g, frozenset(r_dep.witness), h_half_total.witness)
-            return _finish(product, idx, t1k_kind, cand, True, 4, None)
+            return _finish(g, h, t1k_kind, (r_dep.witness, t[:1], t[1:]), True, 4, None)
     return ProductAnalysis(False, None, None, None, None)
 
 
@@ -258,27 +239,23 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     """
     _check_k(k)
     _require_connected(g)
-    product, idx = lex_product(g, h)
     i1k_kind = independent_one_k(k)
 
     if g.n == 1:
         r = min_set(h, i1k_kind)
-        cand = frozenset(r.witness) if r.exists else None
-        return _finish(product, idx, i1k_kind, cand, r.exists,
-                       1 if r.exists else None, None)
+        plan = ((0,), r.witness) if r.exists else None
+        return _finish(g, h, i1k_kind, plan, r.exists, 1 if r.exists else None, None)
 
     r_h = min_set(h, i1k_kind, limit=k)
     if r_h.exists:
         r_eff = min_set(g, efficient())
         if r_eff.exists:
-            cand = _cross(idx, r_eff.witness, r_h.witness)
-            return _finish(product, idx, i1k_kind, cand, True, 2, None)
+            return _finish(g, h, i1k_kind, (r_eff.witness, r_h.witness), True, 2, None)
     r_h_half = min_set(h, i1k_kind, limit=k // 2)
     if r_h_half.exists:
         r_g = min_set(g, i1k_kind)
         if r_g.exists:
-            cand = _cross(idx, r_g.witness, r_h_half.witness)
-            return _finish(product, idx, i1k_kind, cand, True, 3, None)
+            return _finish(g, h, i1k_kind, (r_g.witness, r_h_half.witness), True, 3, None)
     return ProductAnalysis(False, None, None, None, None)
 
 
@@ -300,12 +277,15 @@ def oracle_kind(kind: str, k: int = 2) -> SetKind:
     return table[kind]
 
 
-def _identity_analysis(factor: Graph, product: Graph, idx: ProductIndex,
-                       kind: SetKind) -> ProductAnalysis:
-    # one factor is a single vertex, so the product ids equal the factor ids
-    r = min_set(factor, kind)
-    cand = frozenset(r.witness) if r.exists else None
-    return _finish(product, idx, kind, cand, r.exists,
+def _identity_analysis(g: Graph, h: Graph, kind: SetKind) -> ProductAnalysis:
+    # one factor is a single vertex, so the product is a copy of the other
+    if g.n == 1:
+        r = min_set(h, kind)
+        plan = ((0,), r.witness) if r.exists else None
+    else:
+        r = min_set(g, kind)
+        plan = (r.witness, (0,)) if r.exists else None
+    return _finish(g, h, kind, plan, r.exists,
                    "identity" if r.exists else "identity_nonexistent", r.gamma)
 
 
@@ -324,13 +304,10 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2) -> ProductAnalysis:
     else:
         _check_k(k)
     _require_connected(g)
-    product, idx = lex_product(g, h)
     target = oracle_kind(kind, k)
 
-    if g.n == 1:
-        return _identity_analysis(h, product, idx, target)
-    if h.n == 1:
-        return _identity_analysis(g, product, idx, target)
+    if g.n == 1 or h.n == 1:
+        return _identity_analysis(g, h, target)
 
     if kind == "plain":
         candidates = []
@@ -338,111 +315,83 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2) -> ProductAnalysis:
         if one_dominator.exists:
             r_g = min_set(g, dominating())
             candidates.append((r_g.gamma, "dominated_layer",
-                               _cross(idx, r_g.witness, one_dominator.witness)))
+                               (r_g.witness, one_dominator.witness)))
         r_gt = min_set(g, total_dominating())
         if r_gt.exists:
-            candidates.append((r_gt.gamma, "total_set_of_g",
-                               _cross(idx, r_gt.witness, (0,))))
-        return _pick(product, idx, target, candidates, none_label=None)
+            candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
+        return _pick(g, h, target, candidates, none_label=None)
 
     if kind == "total":
         r_gt = min_set(g, total_dominating())
         candidates = []
         if r_gt.exists:
-            candidates.append((r_gt.gamma, "total_set_of_g",
-                               _cross(idx, r_gt.witness, (0,))))
-        return _pick(product, idx, target, candidates, none_label="no_total_set_in_g")
+            candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
+        return _pick(g, h, target, candidates, none_label="no_total_set_in_g")
 
     if kind == "one_2":
-        return _one_2_cases(g, h, product, idx, target)
+        return _one_2_cases(g, h, target)
     if kind == "total_one_2":
-        return _total_one_2_cases(g, h, product, idx, target)
-    return _independent_cases(g, h, product, idx, target, k)
+        return _total_one_2_cases(g, h, target)
+    return _independent_cases(g, h, target, k)
 
 
-def _pick(product: Graph, idx: ProductIndex, target: SetKind,
-          candidates: list[tuple[int, str, frozenset[int]]],
-          none_label: str | None,
-          fallback: tuple[int, str, frozenset[int]] | None = None) -> ProductAnalysis:
-    if not candidates and fallback is not None:
-        candidates = [fallback]
+def _pick(g: Graph, h: Graph, target: SetKind, candidates: list[tuple[int, str, tuple]],
+          none_label: str | None) -> ProductAnalysis:
     if not candidates:
         return ProductAnalysis(False, none_label, None, None, None)
-    value, label, cand = min(candidates, key=lambda item: item[0])
-    return _finish(product, idx, target, cand, True, label, value)
+    value, label, plan = min(candidates, key=lambda item: item[0])
+    return _finish(g, h, target, plan, True, label, value)
 
 
-def _one_2_pair(h: Graph) -> tuple[int | None, tuple[int, ...] | None]:
-    r = min_set(h, one_k(2))
-    return r.gamma, r.witness
-
-
-def _one_2_cases(g: Graph, h: Graph, product: Graph, idx: ProductIndex,
-                 target: SetKind) -> ProductAnalysis:
-    full = frozenset(range(product.n))
-    candidates: list[tuple[int, str, frozenset[int]]] = []
-    gamma_h, pair_h = _one_2_pair(h)
+def _one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
+    # n_h >= 2 here, so every subcase value is at most 2 * n_g <= n_g * n_h
+    # and the full vertex set, appended last, wins only when none applies.
+    full = (range(g.n), range(h.n))
+    candidates: list[tuple[int, str, tuple]] = []
+    r_h = min_set(h, one_k(2))
+    pair_h = r_h.witness
     iso = h.isolated_vertices()
     if iso:
         r_gt = min_set(g, total_one_k(2))
         if r_gt.exists:
-            candidates.append((r_gt.gamma, "case1a",
-                               _cross(idx, r_gt.witness, (iso[0],))))
-        if gamma_h == 2:
+            candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
+        if r_h.gamma == 2:
             sd = min_sd_size_plus_alpha(g, 2, 2)
             if sd is not None:
                 value, members = sd
                 # the isolated vertex sits in every [1,2]-set of H
                 u_star = next(u for u in pair_h if u in set(iso))
                 u_bullet = next(u for u in pair_h if u != u_star)
-                candidates.append((value, "case1b",
-                                   _mixed_ordered(idx, g, members, u_star, u_bullet)))
-        return _pick(product, idx, target, candidates, None,
-                     fallback=(product.n, "case1c", full))
-    if gamma_h == 1:
+                candidates.append((value, "case1b", (members, (u_star,), (u_bullet,))))
+        candidates.append((g.n * h.n, "case1c", full))
+        return _pick(g, h, target, candidates, None)
+    if r_h.gamma == 1:
         r_dep = min_set(g, j_dependent_one_k(1, 2))
         if r_dep.exists:
-            candidates.append((r_dep.gamma, "case2a",
-                               _cross(idx, r_dep.witness, pair_h)))
+            candidates.append((r_dep.gamma, "case2a", (r_dep.witness, pair_h)))
     r_dept = min_set(g, j_dependent_total_one_k(1, 2))
     if r_dept.exists:
-        candidates.append((r_dept.gamma, "case2b",
-                           _cross(idx, r_dept.witness, (0,))))
-    if gamma_h == 2:
+        candidates.append((r_dept.gamma, "case2b", (r_dept.witness, (0,))))
+    if r_h.gamma == 2:
         sd = min_sd_size_plus_alpha(g, 1, 2)
         if sd is not None:
             value, members = sd
-            candidates.append((value, "case2c",
-                               _mixed_ordered(idx, g, members, pair_h[0], pair_h[1])))
-    return _pick(product, idx, target, candidates, None,
-                 fallback=(product.n, "case2d", full))
+            candidates.append((value, "case2c", (members, pair_h[:1], pair_h[1:])))
+    candidates.append((g.n * h.n, "case2d", full))
+    return _pick(g, h, target, candidates, None)
 
 
-def _mixed_ordered(idx: ProductIndex, graph: Graph, members: frozenset[int],
-                   u_star: int, u_bullet: int) -> frozenset[int]:
-    """Every member carries u_star; members with no in-set neighbor add u_bullet."""
-    out: set[int] = set()
-    for v in members:
-        out.add(idx.id_of(v, u_star))
-        if not graph.neighbors(v) & members:
-            out.add(idx.id_of(v, u_bullet))
-    return frozenset(out)
-
-
-def _total_one_2_cases(g: Graph, h: Graph, product: Graph, idx: ProductIndex,
-                       target: SetKind) -> ProductAnalysis:
-    candidates: list[tuple[int, str, frozenset[int]]] = []
+def _total_one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
+    candidates: list[tuple[int, str, tuple]] = []
     iso = h.isolated_vertices()
     if iso:
         r_gt = min_set(g, total_one_k(2))
         if r_gt.exists:
-            candidates.append((r_gt.gamma, "case1a",
-                               _cross(idx, r_gt.witness, (iso[0],))))
-        return _pick(product, idx, target, candidates, "case1b_nonexistent")
+            candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
+        return _pick(g, h, target, candidates, "case1b_nonexistent")
     r_dept = min_set(g, j_dependent_total_one_k(1, 2))
     if r_dept.exists:
-        candidates.append((r_dept.gamma, "case2a",
-                           _cross(idx, r_dept.witness, (0,))))
+        candidates.append((r_dept.gamma, "case2a", (r_dept.witness, (0,))))
     # The layer of a lonely member (no in-set G-neighbor) alone dominates that
     # layer, so it is a total [1,2]-set of H; the two vertices the value counts
     # for it must be an edge of H that dominates H, whatever gamma_[1,2](H) is.
@@ -451,27 +400,25 @@ def _total_one_2_cases(g: Graph, h: Graph, product: Graph, idx: ProductIndex,
         sd = min_sd_size_plus_alpha(g, 1, 2)
         if sd is not None:
             value, members = sd
-            candidates.append((value, "case2b",
-                               _mixed_ordered(idx, g, members, *pair.witness)))
-    return _pick(product, idx, target, candidates, "case2c_nonexistent")
+            candidates.append((value, "case2b", (members, pair.witness[:1], pair.witness[1:])))
+    return _pick(g, h, target, candidates, "case2c_nonexistent")
 
 
-def _independent_cases(g: Graph, h: Graph, product: Graph, idx: ProductIndex,
-                       target: SetKind, k: int) -> ProductAnalysis:
-    candidates: list[tuple[int, str, frozenset[int]]] = []
+def _independent_cases(g: Graph, h: Graph, target: SetKind, k: int) -> ProductAnalysis:
+    candidates: list[tuple[int, str, tuple]] = []
     i1k_kind = independent_one_k(k)
     r_h = min_set(h, i1k_kind)
     if r_h.exists and r_h.gamma <= k:
         r_eff = min_set(g, efficient())
         if r_eff.exists:
             candidates.append((r_eff.gamma * r_h.gamma, "case_a_efficient",
-                               _cross(idx, r_eff.witness, r_h.witness)))
+                               (r_eff.witness, r_h.witness)))
     if r_h.exists and r_h.gamma <= k // 2:
         r_g = min_set(g, i1k_kind)
         if r_g.exists:
             candidates.append((r_g.gamma * r_h.gamma, "case_b_independent",
-                               _cross(idx, r_g.witness, r_h.witness)))
-    return _pick(product, idx, target, candidates, "case_c_nonexistent")
+                               (r_g.witness, r_h.witness)))
+    return _pick(g, h, target, candidates, "case_c_nonexistent")
 
 
 # -- path/cycle corollaries -----------------------------------------------------
@@ -561,7 +508,7 @@ def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2,
         target = independent_one_k(k)
     else:
         raise ValueError(f"unknown characterization {which!r}")
-    product, idx = lex_product(g, h)
+    product, _ = lex_product(g, h)
     found = exists_set(product, target, max_n=max_n, force=force)
     return DiscrepancyReport(
         kind=f"characterize_{which}",

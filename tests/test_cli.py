@@ -181,9 +181,15 @@ class TestTheorem:
         c3 = tmp_path / "c3.el"
         c3.write_text(format_edge_list(build_standard("cycle", 3)))
         code, out, _ = run(capsys, "theorem", "total", c5_file, str(c3),
-                           "--compare-oracle", "--strict")
+                           "--compare-oracle")
         assert code == 0
         assert json.loads(out)["prediction"] is False
+
+    def test_strict_flag_is_gone(self, capsys, c5_file, c4_file):
+        # it never changed anything: a disagreement exits 2 with or without it
+        code, out, err = run(capsys, "theorem", "total", c5_file, c4_file,
+                             "--compare-oracle", "--strict")
+        assert code == 64 and out == "" and "--strict" in err
 
     def test_plain_prediction_without_oracle(self, capsys, c5_file, c4_file):
         code, out, _ = run(capsys, "theorem", "product-gamma", c5_file, c4_file,

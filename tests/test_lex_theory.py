@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -288,11 +289,49 @@ class TestFailedConstruction:
             return real_min_set(graph, kind, *args, **kwargs)
 
         monkeypatch.setattr(lex_theory, "min_set", recording_min_set)
-        monkeypatch.setattr(lex_theory, "_cross", lambda idx, g_part, h_part: frozenset())
+        monkeypatch.setattr(lex_theory, "_layers", lambda idx, g, *plan: frozenset())
         a = product_gamma(P(4), P(4), "one_2")
         assert (a.membership, a.predicted_gamma, a.matched_condition) == (True, 2, "case2b")
         assert a.witness is None and a.layer_profile is None
         assert product_sizes and max(product_sizes) == 4  # factor solves only
+
+
+class TestPinnedOutput:
+    """Every witness, label, layer profile and key order on a small grid,
+    pinned as one SHA-256 so that a refactor of the witness builders cannot
+    change a byte of the output unnoticed."""
+
+    DIGEST = "620674d4856fd59cd0d2b1b56799aa6230cf2da864b019563269b022996c7b9b"
+
+    @staticmethod
+    def _pairs():
+        atlas = atlas_by_order(4)
+        hs = [h for order in range(1, 4) for h in atlas[order]]
+        for order in range(1, 5):
+            for g in atlas[order]:
+                if is_connected(g):
+                    yield from ((g, h) for h in hs)
+        paths_cycles = [P(n) for n in range(1, 6)] + [C(n) for n in range(3, 6)]
+        yield from ((g, h) for g in paths_cycles for h in paths_cycles)
+        # the smallest atlas pairs won by total_one_2 case2b, characterize_total
+        # condition 3, one_2 case2c and i_one_2 identity_nonexistent
+        k33 = Graph(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+        yield from ((SPIDER, P(2)), (SPIDER, Graph(4, [(0, 1), (2, 3)])), (k33, K1))
+
+    def test_output_digest(self):
+        digest = hashlib.sha256()
+        calls = 0
+        for g, h in self._pairs():
+            analyses = [product_gamma(g, h, kind) for kind in lex_theory.PRODUCT_GAMMA_KINDS]
+            analyses.append(product_gamma(g, h, "i_one_k", k=3))
+            for k in (2, 3):
+                analyses += [characterize_total(g, h, k), characterize_independent(g, h, k)]
+            for a in analyses:
+                d = a.to_dict()
+                digest.update(f"{json.dumps(d)}\n{d}\n".encode())
+                calls += 1
+        assert calls == 1507
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestCorollaryValues:
