@@ -12,18 +12,7 @@ import functools
 import json
 import sys
 
-from .domsets import (
-    SetKind,
-    dominating,
-    efficient,
-    independent_one_k,
-    j_dependent_one_k,
-    j_dependent_total_one_k,
-    one_k,
-    open_efficient,
-    total_dominating,
-    total_one_k,
-)
+from .domsets import SetKind, base_parameters
 from .graphs import build_standard, format_edge_list, lex_product, load_graph, save_graph
 from .lex_theory import (
     characterize_independent,
@@ -41,17 +30,17 @@ EXIT_DISAGREE = 2
 EXIT_CAP = 3
 EXIT_USAGE = 64
 
-# token -> (factory, needs_j, needs_k); the factory takes j and/or k, in that order
+# token -> set-kind base
 _KINDS = {
-    "dom": (dominating, False, False),
-    "total": (total_dominating, False, False),
-    "1k": (one_k, False, True),
-    "t1k": (total_one_k, False, True),
-    "i1k": (independent_one_k, False, True),
-    "jd1k": (j_dependent_one_k, True, True),
-    "jdt1k": (j_dependent_total_one_k, True, True),
-    "eff": (efficient, False, False),
-    "oeff": (open_efficient, False, False),
+    "dom": "dominating",
+    "total": "total_dominating",
+    "1k": "one_k",
+    "t1k": "total_one_k",
+    "i1k": "independent_one_k",
+    "jd1k": "j_dependent_one_k",
+    "jdt1k": "j_dependent_total_one_k",
+    "eff": "efficient",
+    "oeff": "open_efficient",
 }
 
 KIND_TOKENS = tuple(_KINDS)
@@ -76,13 +65,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_kind(token: str, j: int | None, k: int | None) -> SetKind:
-    factory, needs_j, needs_k = _KINDS[token]
-    if needs_k and k is None:
-        raise SystemExit(_usage_error(f"--k is required for kind {token}"))
-    if needs_j and j is None:
-        raise SystemExit(_usage_error(f"--j is required for kind {token}"))
+    base = _KINDS[token]
+    takes = base_parameters(base)
+    given = {"j": j, "k": k}
+    for flag in ("k", "j"):
+        if flag in takes and given[flag] is None:
+            raise SystemExit(_usage_error(f"--{flag} is required for kind {token}"))
     try:
-        return factory(*(j,) * needs_j, *(k,) * needs_k)
+        return SetKind(base, **{p: given[p] for p in takes})
     except ValueError as exc:
         raise SystemExit(_usage_error(str(exc))) from None
 
@@ -155,20 +145,16 @@ def _cmd_theorem(args) -> int:
     if args.which == "product-gamma":
         kind = PRODUCT_KIND_TOKENS[args.kind]
         if args.compare_oracle:
-            report = verify_against_oracle(g, h, kind, args.k, force=args.force)
-            _emit(report.to_dict(), args.pretty)
-            return EXIT_OK if report.agree else EXIT_DISAGREE
-        analysis = product_gamma(g, h, kind, args.k)
-        _emit(analysis.to_dict(), args.pretty)
-        return EXIT_OK
-    which = "total" if args.which == "total" else "independent"
-    if args.compare_oracle:
-        report = verify_membership_against_oracle(g, h, which, args.k, force=args.force)
-        _emit(report.to_dict(), args.pretty)
-        return EXIT_OK if report.agree else EXIT_DISAGREE
-    fn = characterize_total if which == "total" else characterize_independent
-    _emit(fn(g, h, args.k).to_dict(), args.pretty)
-    return EXIT_OK
+            result = verify_against_oracle(g, h, kind, args.k, force=args.force)
+        else:
+            result = product_gamma(g, h, kind, args.k)
+    elif args.compare_oracle:
+        result = verify_membership_against_oracle(g, h, args.which, args.k, force=args.force)
+    else:
+        fn = characterize_total if args.which == "total" else characterize_independent
+        result = fn(g, h, args.k)
+    _emit(result.to_dict(), args.pretty)
+    return EXIT_DISAGREE if args.compare_oracle and not result.agree else EXIT_OK
 
 
 def _cmd_reduce(args) -> int:

@@ -7,29 +7,35 @@ intervals for members of the candidate set and for vertices outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .graphs import Graph, mask_to_ids
 
 VertexSet = frozenset[int]
 
-BASES = (
-    "dominating",
-    "total_dominating",
-    "one_k",
-    "total_one_k",
-    "independent_one_k",
-    "j_dependent_one_k",
-    "j_dependent_total_one_k",
-    "efficient",
-    "open_efficient",
-)
+# base -> (lo_in, hi_in, lo_out, hi_out); "j" and "k" stand for the kind's
+# parameters, and a base takes exactly the parameters its row names.
+_BOUNDS = {
+    "dominating": (0, None, 1, None),
+    "total_dominating": (1, None, 1, None),
+    "one_k": (0, None, 1, "k"),
+    "total_one_k": (1, "k", 1, "k"),
+    "independent_one_k": (0, 0, 1, "k"),
+    "j_dependent_one_k": (0, "j", 1, "k"),
+    "j_dependent_total_one_k": (1, "j", 1, "k"),
+    "efficient": (0, 0, 1, 1),
+    "open_efficient": (1, 1, 1, 1),
+}
 
-_K_BASES = frozenset(
-    {"one_k", "total_one_k", "independent_one_k", "j_dependent_one_k", "j_dependent_total_one_k"}
-)
-_J_BASES = frozenset({"j_dependent_one_k", "j_dependent_total_one_k"})
+BASES = tuple(_BOUNDS)
+
+_PARAMETERS = {base: tuple(p for p in ("j", "k") if p in row) for base, row in _BOUNDS.items()}
+
+
+def base_parameters(base: str) -> tuple[str, ...]:
+    """The parameters ``base`` takes, in factory order: a subsequence of ("j", "k")."""
+    return _PARAMETERS[base]
 
 
 @dataclass(frozen=True)
@@ -43,51 +49,35 @@ class SetKind:
     base: str
     k: int | None = None
     j: int | None = None
+    # resolved from the table once, because bounds() runs in every search and satisfies
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base not in BASES:
             raise ValueError(f"unknown set kind {self.base!r}")
-        if self.base in _K_BASES:
+        takes = base_parameters(self.base)
+        if "k" in takes:
             if self.k is None or self.k < 1:
                 raise ValueError(f"{self.base} requires k >= 1, got {self.k}")
         elif self.k is not None:
             raise ValueError(f"{self.base} takes no k parameter")
-        if self.base in _J_BASES:
+        if "j" in takes:
             if self.j is None or self.j < 0:
                 raise ValueError(f"{self.base} requires j >= 0, got {self.j}")
             if self.j > self.k:  # type: ignore[operator]
                 raise ValueError(f"j={self.j} must not exceed k={self.k}")
         elif self.j is not None:
             raise ValueError(f"{self.base} takes no j parameter")
+        params = {"j": self.j, "k": self.k}
+        object.__setattr__(self, "_bounds", tuple([params.get(b, b) for b in _BOUNDS[self.base]]))
 
     def bounds(self) -> tuple[int, int | None, int, int | None]:
         """(lo_in, hi_in, lo_out, hi_out) spanning-number bounds; None = unbounded."""
-        base, k, j = self.base, self.k, self.j
-        if base == "dominating":
-            return (0, None, 1, None)
-        if base == "total_dominating":
-            return (1, None, 1, None)
-        if base == "one_k":
-            return (0, None, 1, k)
-        if base == "total_one_k":
-            return (1, k, 1, k)
-        if base == "independent_one_k":
-            return (0, 0, 1, k)
-        if base == "j_dependent_one_k":
-            return (0, j, 1, k)
-        if base == "j_dependent_total_one_k":
-            return (1, j, 1, k)
-        if base == "efficient":
-            return (0, 0, 1, 1)
-        return (1, 1, 1, 1)  # open_efficient
+        return self._bounds
 
     def label(self) -> str:
-        parts = [self.base]
-        if self.j is not None:
-            parts.append(f"j={self.j}")
-        if self.k is not None:
-            parts.append(f"k={self.k}")
-        return " ".join(parts)
+        params = (f"{p}={getattr(self, p)}" for p in base_parameters(self.base))
+        return " ".join([self.base, *params])
 
 
 def dominating() -> SetKind:

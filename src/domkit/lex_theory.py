@@ -33,7 +33,17 @@ from .domsets import (
 from .graphs import Graph, ProductIndex, is_connected, lex_product, mask_to_ids
 from .solvers import GraphTooLargeError, enumerate_masks, exists_set, min_set
 
-PRODUCT_GAMMA_KINDS = ("plain", "total", "one_2", "total_one_2", "i_one_2", "i_one_k")
+# product kind -> the set kind its predictions are measured against, given k
+_PRODUCT_KINDS = {
+    "plain": lambda k: dominating(),
+    "total": lambda k: total_dominating(),
+    "one_2": lambda k: one_k(2),
+    "total_one_2": lambda k: total_one_k(2),
+    "i_one_2": lambda k: independent_one_k(2),
+    "i_one_k": independent_one_k,
+}
+
+PRODUCT_GAMMA_KINDS = tuple(_PRODUCT_KINDS)
 
 COROLLARY_KINDS = ("one_2", "total_one_2", "i_one_2")
 
@@ -264,17 +274,9 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
 
 def oracle_kind(kind: str, k: int = 2) -> SetKind:
     """The set kind a product-gamma prediction is measured against."""
-    table = {
-        "plain": dominating(),
-        "total": total_dominating(),
-        "one_2": one_k(2),
-        "total_one_2": total_one_k(2),
-        "i_one_2": independent_one_k(2),
-        "i_one_k": independent_one_k(k),
-    }
-    if kind not in table:
+    if kind not in _PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    return table[kind]
+    return _PRODUCT_KINDS[kind](k)
 
 
 def _identity_analysis(g: Graph, h: Graph, kind: SetKind) -> ProductAnalysis:

@@ -3,7 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domkit.domsets import (
+    BASES,
     SetKind,
+    dominating,
     efficient,
     in_sd_class,
     independent_one_k,
@@ -13,6 +15,7 @@ from domkit.domsets import (
     open_efficient,
     satisfies,
     spanning_number,
+    total_dominating,
     total_one_k,
 )
 from domkit.graphs import Graph, build_standard
@@ -48,10 +51,23 @@ class TestKindValidation:
             SetKind("dominating", k=2)
 
     def test_valid_kinds(self):
-        assert total_one_k(2).bounds() == (1, 2, 1, 2)
-        assert efficient().bounds() == (0, 0, 1, 1)
-        assert open_efficient().bounds() == (1, 1, 1, 1)
-        assert j_dependent_total_one_k(1, 2).bounds() == (1, 1, 1, 2)
+        # (kind, (lo_in, hi_in, lo_out, hi_out), label), written out from the
+        # definitions: members need at least lo_in and at most hi_in in-set
+        # neighbors, non-members between lo_out and hi_out; None is unbounded.
+        expected = [
+            (dominating(), (0, None, 1, None), "dominating"),
+            (total_dominating(), (1, None, 1, None), "total_dominating"),
+            (one_k(3), (0, None, 1, 3), "one_k k=3"),
+            (total_one_k(2), (1, 2, 1, 2), "total_one_k k=2"),
+            (independent_one_k(3), (0, 0, 1, 3), "independent_one_k k=3"),
+            (j_dependent_one_k(1, 3), (0, 1, 1, 3), "j_dependent_one_k j=1 k=3"),
+            (j_dependent_total_one_k(1, 2), (1, 1, 1, 2), "j_dependent_total_one_k j=1 k=2"),
+            (efficient(), (0, 0, 1, 1), "efficient"),
+            (open_efficient(), (1, 1, 1, 1), "open_efficient"),
+        ]
+        assert [kind.base for kind, _, _ in expected] == list(BASES)
+        for kind, bounds, label in expected:
+            assert (kind.bounds(), kind.label()) == (bounds, label)
 
 
 class TestSpanningNumber:

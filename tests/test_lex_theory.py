@@ -16,9 +16,11 @@ from conftest import (
 )
 
 from domkit.domsets import (
+    dominating,
     in_sd_class,
     independent_one_k,
     j_dependent_one_k,
+    one_k,
     satisfies,
     total_dominating,
     total_one_k,
@@ -294,6 +296,43 @@ class TestFailedConstruction:
         assert (a.membership, a.predicted_gamma, a.matched_condition) == (True, 2, "case2b")
         assert a.witness is None and a.layer_profile is None
         assert product_sizes and max(product_sizes) == 4  # factor solves only
+
+
+class TestRareSubcases:
+    """Pairs won by subcases that never decide on the atlas grid, so their
+    layer plans are built and checked somewhere (found by a random search)."""
+
+    def test_characterize_total_condition_4(self):
+        g = Graph(8, [(0, 2), (1, 6), (2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (6, 7)])
+        h = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        a = characterize_total(g, h, k=2)
+        assert (a.membership, a.matched_condition, a.witness) == (True, 4, (4, 5, 8, 12))
+        assert naive_satisfies(lex_product(g, h)[0], set(a.witness), total_one_k(2))
+        r = verify_membership_against_oracle(g, h, "total", 2)
+        assert r.agree and r.oracle is True
+
+    def test_one_2_case1b(self):
+        g = Graph(9, [(0, 2), (0, 3), (1, 2), (1, 6), (1, 8), (2, 4), (2, 6), (2, 7),
+                      (3, 4), (4, 6), (5, 6), (6, 7), (7, 8)])
+        h = Graph(3, [(0, 2)])
+        a = product_gamma(g, h, "one_2")
+        assert (a.matched_condition, a.predicted_gamma) == ("case1b", 6)
+        assert a.witness == (1, 10, 15, 16, 24, 25)
+        assert naive_satisfies(lex_product(g, h)[0], set(a.witness), one_k(2))
+        r = verify_against_oracle(g, h, "one_2")
+        assert r.agree and r.oracle == 6
+
+
+class TestOracleKind:
+    def test_builds_only_the_kind_asked_for(self):
+        # kinds with a fixed k never read the caller's k
+        assert lex_theory.oracle_kind("plain", 0) == dominating()
+        assert lex_theory.oracle_kind("one_2", 0) == one_k(2)
+        assert lex_theory.oracle_kind("i_one_k", 3) == independent_one_k(3)
+        with pytest.raises(ValueError, match="unknown product kind 'bogus'"):
+            lex_theory.oracle_kind("bogus", 0)
+        with pytest.raises(ValueError, match="requires k >= 1"):
+            lex_theory.oracle_kind("i_one_k", 0)
 
 
 class TestPinnedOutput:
