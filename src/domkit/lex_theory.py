@@ -173,6 +173,21 @@ def _layers(idx: ProductIndex, g: Graph, members: Collection[int],
                      for u in (shared if adj[v] & inside else alone))
 
 
+_last_product: tuple = (None, None, None)
+
+
+def _product_of(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
+    """``lex_product(g, h)``, reused while the factors are the very objects of
+    the last call: keyed on identity, never equality, and the entry keeps both
+    factors alive so their ids cannot pass to other graphs."""
+    global _last_product
+    last_g, last_h, built = _last_product
+    if g is not last_g or h is not last_h:
+        built = lex_product(g, h)
+        _last_product = (g, h, built)
+    return built
+
+
 def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: bool,
             matched: int | str | None, gamma: int | None) -> ProductAnalysis:
     """Build the planned witness and validate it on the explicit product.
@@ -184,7 +199,7 @@ def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: b
     """
     witness = profile = None
     if plan is not None:
-        product, idx = lex_product(g, h)
+        product, idx = _product_of(g, h)
         candidate = _layers(idx, g, *plan)
         if satisfies(product, candidate, kind):
             witness = tuple(sorted(candidate))
@@ -479,7 +494,7 @@ def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
     agreement flag for the caller to judge.
     """
     analysis = product_gamma(g, h, kind, k)
-    product, idx = lex_product(g, h)
+    product, idx = _product_of(g, h)
     r = min_set(product, oracle_kind(kind, k), max_n=max_n, force=force)
     agree = analysis.predicted_gamma == r.gamma and analysis.membership == r.exists
     profile = analysis.layer_profile
@@ -510,7 +525,7 @@ def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2,
         target = independent_one_k(k)
     else:
         raise ValueError(f"unknown characterization {which!r}")
-    product, _ = lex_product(g, h)
+    product, _ = _product_of(g, h)
     found = exists_set(product, target, max_n=max_n, force=force)
     return DiscrepancyReport(
         kind=f"characterize_{which}",

@@ -6,7 +6,7 @@ ids, so the first satisfying set found is the canonical witness.  One
 recursive loop serves both modes: ``min_set`` and ``enumerate_sets`` deepen
 over exact target sizes, while ``exists_set`` makes one variable-size sweep
 up to its limit (on the 491 X3C gadgets that need a search the sweep explores
-501,407 nodes where per-size deepening explores 703,415).
+90,522 nodes where per-size deepening explores 159,984).
 
 Pruning is sound-only.  A branch is cut when a spanning number already
 exceeds the applicable upper bound with no way to recover, or by a counting
@@ -20,12 +20,25 @@ prefix table makes that one AND per candidate.  No spanning number exceeds
 Delta, so upper bounds at or above Delta are dropped and the per-node
 spanning levels hold at most Delta + 1 entries.
 
+Twins are vertices with the same open neighbourhood, N(u) = N(v), or the
+same closed one, N[u] = N[v]; swapping two twins maps the graph onto itself.
+``min_set`` and ``exists_set`` skip a candidate while its next lower twin is
+left out of the set (the lex-leader rule of Crawford, Ginsberg, Luks and
+Roy, KR 1996).  Every kind is defined by bounds on |N(x) & S| alone, so
+swapping twins u < v in a set that holds v but not u gives a set of the same
+kind and size that is lexicographically smaller.  The lexicographically
+smallest minimum witness thus never breaks the rule, so every answer and
+witness is that of the full search; only ``nodes_explored`` falls (501,407
+to 90,522 on the X3C sweep).  ``enumerate_masks`` and ``enumerate_sets``
+must list every set, so they search without the cut.
+
 Exact-size deepening stops early by the termination test of iterative
 deepening (Korf, 1985): a pass in which no cut depended on the target size
 proves that no larger size has a solution either.  The size-dependent cuts
 are the counting bound, the count of vertices that must still join, and the
 leaf level itself; every other cut (upper bounds, dead candidates) fires
-only on sets that no extension can repair, at any size.  A larger target
+only on sets that no extension can repair, at any size, and the twin cut
+reads only the set, so it cuts the same nodes at every size.  A larger target
 keeps those cuts, lowers the last usable candidate id and only relaxes the
 size-dependent cuts, so when none of them fired its tree holds no node
 that this pass did not reach, down to this pass's leaf level, and no node
@@ -109,20 +122,40 @@ class SolveResult:
         return json.dumps(self.to_dict())
 
 
+def _twin_before(adj: tuple[int, ...], closed: list[int]) -> list[int] | None:
+    """``twin_before[v]`` = the bit of v's next lower twin, or 0; None when
+    the graph has no twins.  No vertex v has both an open twin u and a closed
+    twin w: w is in N(v) = N(u), so u is in N[w] = N[v], and an open twin
+    is never adjacent to v."""
+    n = len(adj)
+    table = None
+    for hoods in (adj, closed):
+        if len(set(hoods)) == n:
+            continue  # no two vertices share this neighbourhood
+        table = table or [0] * n
+        last: dict[int, int] = {}
+        for v, hood in enumerate(hoods):
+            if hood in last:
+                table[v] = last[hood]
+            last[hood] = 1 << v
+    return table
+
+
 class _Search:
-    """Bitmask DFS over candidate sets for one (graph, kind) pair."""
+    """Bitmask DFS over candidate sets for one (graph, kind) pair; with
+    ``break_twins`` it applies the twin cut, otherwise it reaches every set."""
 
     __slots__ = (
         "n", "adj", "full", "dead_before", "levels_len", "gain",
-        "hi_in", "hi_out", "member_needs_lo", "nodes", "size_cut",
+        "hi_in", "hi_out", "member_needs_lo", "twin_before", "nodes", "size_cut",
     )
 
-    def __init__(self, graph: Graph, kind: SetKind) -> None:
+    def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False) -> None:
         self.n = graph.n
-        self.adj = graph.neighbor_masks
+        self.adj = adj = graph.neighbor_masks
         self.full = (1 << graph.n) - 1
         lo_in, hi_in, _, hi_out = kind.bounds()
-        delta = max((m.bit_count() for m in self.adj), default=0)
+        delta = max(map(int.bit_count, adj), default=0)
         # No spanning number exceeds delta, so a bound >= delta never binds.
         self.hi_in = hi_in if hi_in is not None and hi_in < delta else None
         self.hi_out = hi_out if hi_out is not None and hi_out < delta else None
@@ -137,11 +170,12 @@ class _Search:
         # lifts its lower bound.  dead_before[v] = vertices whose suppliers all
         # have ids below v: once the candidates start..v-1 are skipped, an
         # unmet one among them can never be met.
+        closed = [m | 1 << w for w, m in enumerate(adj)]
         buckets = [0] * (graph.n + 1)
-        for w, m in enumerate(self.adj):
-            own = 0 if self.member_needs_lo else 1 << w
-            buckets[(m | own).bit_length()] |= 1 << w
+        for w, m in enumerate(adj if self.member_needs_lo else closed):
+            buckets[m.bit_length()] |= 1 << w
         self.dead_before = list(accumulate(buckets[:graph.n], or_))
+        self.twin_before = _twin_before(adj, closed) if break_twins else None
         self.nodes = 0
         self.size_cut = False
 
@@ -220,6 +254,10 @@ class _Search:
         The candidate loop stops once the candidates skipped so far,
         ``start..v-1``, were the last suppliers of some unmet vertex; at
         ``v = start`` that is the test for a node that is already dead.
+        The twin cut skips a candidate whose next lower twin is not in
+        ``mask``: that twin can no longer join, swapping the two gives a
+        valid set of the same size that comes first, and the skip reads
+        ``mask`` alone, never ``size``.
         Whenever a cut depends on ``size`` (the counting bound, too many
         vertices that must join, or a child that would be extended if more
         picks were left), ``size_cut`` is set for ``run``'s stop test.
@@ -237,10 +275,13 @@ class _Search:
         adj = self.adj
         levels_len = self.levels_len
         dead_before = self.dead_before
+        twin_before = self.twin_before
         at_leaf = remaining == 1
         for v in range(start, cap + 1):
             if unmet & dead_before[v]:
                 break  # skipping start..v-1 left an unmet vertex no supplier
+            if twin_before is not None and twin_before[v] & ~mask:
+                continue  # v's lower twin was skipped: swapping them gives a smaller set
             if hi_in is not None and (levels[hi_in] >> v) & 1:
                 continue  # joining would push v over its member bound
             new_levels = levels.copy()
@@ -277,7 +318,7 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     was found within it.
     """
     _check_cap(graph, max_n, force)
-    search = _Search(graph, kind)
+    search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
     found: list[int] = []
 
@@ -300,7 +341,7 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     so it is the cheaper query when only existence matters.
     """
     _check_cap(graph, max_n, force)
-    search = _Search(graph, kind)
+    search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
     return search.run(0, top, lambda mask: True, any_size=True)
 

@@ -445,6 +445,24 @@ class TestVerifyAgainstOracle:
         r2 = verify_membership_against_oracle(C(6), P(2), "independent")
         assert r2.agree and r2.prediction is True
 
+    def test_each_check_builds_its_product_once(self, monkeypatch):
+        built = []
+
+        def counted(g, h):
+            built.append((g, h))
+            return lex_product(g, h)
+
+        monkeypatch.setattr(lex_theory, "lex_product", counted)
+        g, h = P(4), P(4)
+        r = verify_against_oracle(g, h, "one_2")
+        assert r.witness_pred is not None and built == [(g, h)]
+        r = verify_membership_against_oracle(g, h, "total")
+        assert r.witness_pred is not None and built == [(g, h)]
+        # equal factors that are other objects get their own product
+        g2, h2 = P(4), P(4)
+        verify_against_oracle(g2, h2, "one_2")
+        assert len(built) == 2 and built[1][0] is g2 and built[1][1] is h2
+
 
 class TestLayerStructure:
     def test_layer_cardinality_bound_small_corpus(self, rng):

@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,8 @@ from domkit.graphs import (
     lex_product,
     mask_to_ids,
 )
-from domkit.npc import X3CInstance, build_gadget
+from domkit import solvers
+from domkit.npc import X3CInstance, build_gadget, decide_x3c
 from domkit.solvers import (
     GraphTooLargeError,
     _Search,
@@ -250,14 +253,111 @@ class TestDeepeningStopRule:
         assert missing >= 300  # half of the 700 cases have no set at all
 
     def test_nonexistence_proofs_take_one_pass(self):
-        # 406 and 8,824 nodes when every target size up to n was searched;
-        # the corollary table also has no independent [1,2]-set for C4 o C4
-        for n, m, kind, nodes in ((4, 4, independent_one_k(2), 151),
-                                  (5, 4, total_one_k(2), 4050)):
+        # 233 and 1,815 nodes when every target size up to n is searched
+        # (406 and 8,824 without the twin cut); the corollary table also has
+        # no independent [1,2]-set for C4 o C4
+        for n, m, kind, nodes in ((4, 4, independent_one_k(2), 77),
+                                  (5, 4, total_one_k(2), 682)):
             product, _ = lex_product(build_standard("cycle", n), build_standard("cycle", m))
             r = min_set(product, kind)
             assert (r.exists, r.gamma, r.witness) == (False, None, None)
             assert r.nodes_explored <= nodes, (n, m, kind)
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _with_copies(rng, g, copies):
+    """``g`` plus ``copies`` new vertices, each a true or a false twin of a
+    random earlier vertex (copies of copies make classes of three or more)."""
+    n, edges = g.n, list(g.edges())
+    for x in range(n, n + copies):
+        v = rng.randrange(x)
+        edges += [(x, w) for w in range(x) if (v, w) in edges or (w, v) in edges]
+        if rng.random() < 0.5:
+            edges.append((v, x))
+    return Graph(n + copies, edges)
+
+
+@lru_cache(maxsize=None)
+def _twin_rich_cases():
+    """(graph, kind, every satisfying set) on graphs full of twins, each under
+    a random relabelling: G o H with H complete, edgeless or random, graphs
+    with duplicated vertices, and graphs with isolated vertices."""
+    rng = random.Random(0x7791)
+    graphs = []
+    for h in (build_standard("complete", 2), build_standard("complete", 3),
+              build_standard("empty", 2), build_standard("empty", 3),
+              random_graph(rng, 3, 0.5), random_graph(rng, 2, 0.5)):
+        for g_n in (2, 3):
+            graphs.append(lex_product(random_connected_graph(rng, g_n), h)[0])
+    for n in (3, 4, 5, 6):
+        for p in (0.3, 0.6):
+            graphs.append(_with_copies(rng, random_graph(rng, n, p), rng.randint(1, 3)))
+    for n in (2, 4, 6):
+        graphs.append(Graph(n + rng.randint(2, 3), random_graph(rng, n, 0.5).edges()))
+    cases = []
+    for g in [_relabelled(rng, g) for g in graphs]:
+        assert _Search(g, dominating(), break_twins=True).twin_before is not None
+        cases += [(g, kind, brute_all(g, kind)) for kind in _kinds_k_up_to_7()]
+    return tuple(cases)
+
+
+class TestTwinCut:
+    """min_set and exists_set skip a candidate while its next lower twin is
+    left out; answers and witnesses must still be those of a full subset
+    scan, and enumerate_masks must still list every set."""
+
+    def test_min_set_and_exists_set_match_brute_force(self):
+        rng = random.Random(0x7C07)
+        for g, kind, hits in _twin_rich_cases():
+            gamma, witness = (len(hits[0]), hits[0]) if hits else (None, None)
+            r = min_set(g, kind)
+            assert (r.gamma, r.witness) == (gamma, witness), (g, kind)
+            assert exists_set(g, kind) == bool(hits), (g, kind)
+            limit = rng.randint(0, g.n) if gamma is None else rng.choice((gamma - 1, gamma))
+            within = gamma is not None and gamma <= limit
+            r = min_set(g, kind, limit=limit)
+            assert (r.gamma, r.witness) == ((gamma, witness) if within else (None, None))
+            assert exists_set(g, kind, limit=limit) == within, (g, kind, limit)
+
+    def test_enumerate_masks_lists_every_set(self):
+        rng = random.Random(0xE7A5)
+        for g, kind, hits in _twin_rich_cases():
+            seen = []
+            enumerate_masks(g, kind, 0, g.n, lambda m: (seen.append(mask_to_ids(m)), False)[1])
+            assert seen == hits, (g, kind)
+            lo = rng.randint(0, g.n)
+            hi = rng.randint(lo, g.n)
+            seen = []
+            enumerate_masks(g, kind, lo, hi, lambda m: (seen.append(mask_to_ids(m)), False)[1])
+            assert seen == [h for h in hits if lo <= len(h) <= hi], (g, kind, lo, hi)
+
+    def test_x3c_sweep_with_three_sets(self, monkeypatch):
+        # 501,150 nodes over the 480 gadgets that search before the twin cut
+        searches = []
+
+        class Recorded(_Search):
+            def run(self, *args, **kwargs):
+                searches.append(self)
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_Search", Recorded)
+        found = sum(decide_x3c(X3CInstance(6, sets))
+                    for sets in combinations(combinations(range(6), 3), 3))
+        assert (found, len(searches)) == (180, 480)
+        assert sum(search.nodes for search in searches) <= 90285
+
+    def test_closed_twins_of_a_product(self):
+        # 10,167 nodes before the twin cut; the layers of C14 o P2 are pairs
+        # of closed twins
+        product, _ = lex_product(build_standard("cycle", 14), build_standard("path", 2))
+        r = min_set(product, total_dominating())
+        assert (r.gamma, r.witness) == (8, (0, 1, 4, 6, 12, 14, 20, 22))
+        assert r.nodes_explored <= 487
 
 
 class TestEnumerateSets:
