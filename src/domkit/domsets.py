@@ -149,20 +149,27 @@ def satisfies(graph: Graph, members: Iterable[int], kind: SetKind) -> bool:
     return True
 
 
-def scattered_test(graph: Graph) -> Callable[[int], bool]:
-    """Mask test for scattered sets on ``graph``: every member with no
-    in-set neighbor sits at distance >= 3 from every other member.
-
-    The masks of vertices at distance 1 or 2 are computed once, here, so the
-    returned test costs two ANDs per member.
-    """
-    adj = graph.neighbor_masks
+def near_masks(adj: tuple[int, ...]) -> list[int]:
+    """``near[v]`` = mask of the vertices at distance 1 or 2 from v."""
     near = []
     for v, m in enumerate(adj):
         reach = m
         for w in mask_to_ids(m):
             reach |= adj[w]
         near.append(reach & ~(1 << v))
+    return near
+
+
+def scattered_test(graph: Graph, near: list[int] | None = None) -> Callable[[int], bool]:
+    """Mask test for scattered sets on ``graph``: every member with no
+    in-set neighbor sits at distance >= 3 from every other member.
+
+    The ``near_masks`` of the graph are computed once, here, unless the
+    caller passes them, so the returned test costs two ANDs per member.
+    """
+    adj = graph.neighbor_masks
+    if near is None:
+        near = near_masks(adj)
 
     def scattered(s: int) -> bool:
         for v in mask_to_ids(s):

@@ -24,6 +24,7 @@ from .domsets import (
     independent_one_k,
     j_dependent_one_k,
     j_dependent_total_one_k,
+    near_masks,
     one_k,
     satisfies,
     scattered_test,
@@ -108,9 +109,16 @@ def _check_sd_scan_size(graph: Graph) -> None:
 
 
 def first_sd_set(graph: Graph, j: int, k: int) -> frozenset[int] | None:
-    """Smallest (then lexicographically first) scattered j-dependent [1,k]-set."""
+    """Smallest (then lexicographically first) scattered j-dependent [1,k]-set.
+
+    The scan lists j-dependent [1,k]-sets with the scattered cut, which skips
+    only sets that no extension makes scattered, whatever their size; so the
+    first set to pass the final test is the first scattered set of the full
+    scan.
+    """
     _check_sd_scan_size(graph)
-    scattered = scattered_test(graph)
+    near = near_masks(graph.neighbor_masks)
+    scattered = scattered_test(graph, near)
     hit: list[int] = []
 
     def grab(s: int) -> bool:
@@ -119,7 +127,7 @@ def first_sd_set(graph: Graph, j: int, k: int) -> frozenset[int] | None:
             return True
         return False
 
-    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, grab)
+    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, grab, near=near)
     return frozenset(mask_to_ids(hit[0])) if hit else None
 
 
@@ -127,10 +135,15 @@ def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset
     """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S.
 
     ``alpha`` counts members with no in-set neighbor.  Returns the value and
-    the first set achieving it, or None when no such set exists.
+    the first set achieving it, or None when no such set exists.  As in
+    ``first_sd_set``, the scattered cut skips only sets that no extension
+    makes scattered, so the minimum and its first set are those of the full
+    scan, and the stop at the first set of size >= the best value still
+    fires only on sets that cannot improve it.
     """
     _check_sd_scan_size(graph)
-    scattered = scattered_test(graph)
+    near = near_masks(graph.neighbor_masks)
+    scattered = scattered_test(graph, near)
     adj = graph.neighbor_masks
     best: list[int] = []  # [value, mask] of the first set reaching the minimum
 
@@ -144,7 +157,7 @@ def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset
                 best[:] = [value, s]
         return False
 
-    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, consider)
+    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, consider, near=near)
     return (best[0], frozenset(mask_to_ids(best[1]))) if best else None
 
 
@@ -237,18 +250,18 @@ def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
         u_star = iso[0] if iso else 0
         return _finish(g, h, t1k_kind, (r.witness, (u_star,)), True, 2, None)
 
-    h_small_total = min_set(h, t1k_kind, limit=k)
-    if h_small_total.exists:
-        t = h_small_total.witness
+    # The lex-smallest minimum set is the same at every limit >= gamma, so
+    # the floor(k/2) threshold reads this one solve.
+    h_total = min_set(h, t1k_kind, limit=k)
+    t = h_total.witness
+    if h_total.exists:
         r_eff = min_set(g, efficient())
         if r_eff.exists:
             return _finish(g, h, t1k_kind, (r_eff.witness, t), True, 3, None)
         sd = first_sd_set(g, k - 1, k)
         if sd is not None:
             return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), True, 4, None)
-    h_half_total = min_set(h, t1k_kind, limit=k // 2)
-    if h_half_total.exists:
-        t = h_half_total.witness
+    if h_total.exists and h_total.gamma <= k // 2:
         r_dep = min_set(g, j_dependent_one_k(k - 1, k))
         if r_dep.exists:
             return _finish(g, h, t1k_kind, (r_dep.witness, t[:1], t[1:]), True, 4, None)
@@ -271,16 +284,16 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
         plan = ((0,), r.witness) if r.exists else None
         return _finish(g, h, i1k_kind, plan, r.exists, 1 if r.exists else None, None)
 
+    # as in characterize_total, one solve serves both H thresholds
     r_h = min_set(h, i1k_kind, limit=k)
     if r_h.exists:
         r_eff = min_set(g, efficient())
         if r_eff.exists:
             return _finish(g, h, i1k_kind, (r_eff.witness, r_h.witness), True, 2, None)
-    r_h_half = min_set(h, i1k_kind, limit=k // 2)
-    if r_h_half.exists:
+    if r_h.exists and r_h.gamma <= k // 2:
         r_g = min_set(g, i1k_kind)
         if r_g.exists:
-            return _finish(g, h, i1k_kind, (r_g.witness, r_h_half.witness), True, 3, None)
+            return _finish(g, h, i1k_kind, (r_g.witness, r_h.witness), True, 3, None)
     return ProductAnalysis(False, None, None, None, None)
 
 

@@ -32,13 +32,24 @@ witness is that of the full search; only ``nodes_explored`` falls (501,407
 to 90,522 on the X3C sweep).  ``enumerate_masks`` and ``enumerate_sets``
 must list every set, so they search without the cut.
 
+The scattered-set scans of ``lex_theory`` pass the graph's ``near`` masks
+(vertices at distance 1 or 2) to ``enumerate_masks``, which then applies the
+scattered cut.  A member is settled once no candidate after the last pick
+is its neighbor, and lonely while it has no in-set neighbor; a settled
+lonely member stays lonely in every extension, so once another member lies
+within distance 2 of it no extension is scattered and the child is skipped.
+The scans accept only scattered sets, so their answers are those of the
+full listing; on P20 at j = 1, k = 2 ``min_sd_size_plus_alpha`` explores
+1,010 nodes instead of 18,564.
+
 Exact-size deepening stops early by the termination test of iterative
 deepening (Korf, 1985): a pass in which no cut depended on the target size
 proves that no larger size has a solution either.  The size-dependent cuts
 are the counting bound, the count of vertices that must still join, and the
 leaf level itself; every other cut (upper bounds, dead candidates) fires
-only on sets that no extension can repair, at any size, and the twin cut
-reads only the set, so it cuts the same nodes at every size.  A larger target
+only on sets that no extension can repair, at any size, and the twin and
+scattered cuts read only the set and its last pick, so they cut the same
+nodes at every size.  A larger target
 keeps those cuts, lowers the last usable candidate id and only relaxes the
 size-dependent cuts, so when none of them fired its tree holds no node
 that this pass did not reach, down to this pass's leaf level, and no node
@@ -143,14 +154,16 @@ def _twin_before(adj: tuple[int, ...], closed: list[int]) -> list[int] | None:
 
 class _Search:
     """Bitmask DFS over candidate sets for one (graph, kind) pair; with
-    ``break_twins`` it applies the twin cut, otherwise it reaches every set."""
+    ``break_twins`` it applies the twin cut, with the graph's ``near`` masks
+    the scattered cut, and with neither it reaches every set."""
 
     __slots__ = (
-        "n", "adj", "full", "dead_before", "levels_len", "gain",
-        "hi_in", "hi_out", "member_needs_lo", "twin_before", "nodes", "size_cut",
+        "n", "adj", "full", "dead_before", "levels_len", "gain", "hi_in", "hi_out",
+        "member_needs_lo", "twin_before", "near", "nodes", "size_cut",
     )
 
-    def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False) -> None:
+    def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False,
+                 near: list[int] | None = None) -> None:
         self.n = graph.n
         self.adj = adj = graph.neighbor_masks
         self.full = (1 << graph.n) - 1
@@ -169,13 +182,16 @@ class _Search:
         # A vertex's suppliers are its neighbors, plus itself when membership
         # lifts its lower bound.  dead_before[v] = vertices whose suppliers all
         # have ids below v: once the candidates start..v-1 are skipped, an
-        # unmet one among them can never be met.
+        # unmet one among them can never be met.  A member's suppliers hold
+        # all its neighbors, so dead_before[v + 1] holds every member that no
+        # candidate after v can touch; dead_before[n] is every vertex.
         closed = [m | 1 << w for w, m in enumerate(adj)]
         buckets = [0] * (graph.n + 1)
         for w, m in enumerate(adj if self.member_needs_lo else closed):
             buckets[m.bit_length()] |= 1 << w
-        self.dead_before = list(accumulate(buckets[:graph.n], or_))
+        self.dead_before = list(accumulate(buckets, or_))
         self.twin_before = _twin_before(adj, closed) if break_twins else None
+        self.near = near
         self.nodes = 0
         self.size_cut = False
 
@@ -258,6 +274,11 @@ class _Search:
         ``mask``: that twin can no longer join, swapping the two gives a
         valid set of the same size that comes first, and the skip reads
         ``mask`` alone, never ``size``.
+        The scattered cut skips a child in which a settled lonely member, one
+        with no in-set neighbor and no neighbor after ``v``, has another
+        member within distance 2: no later candidate can give it a neighbor
+        or take that member away, so no extension is scattered.  It reads
+        the child's set, its ``levels[0]`` and ``v``, never ``size``.
         Whenever a cut depends on ``size`` (the counting bound, too many
         vertices that must join, or a child that would be extended if more
         picks were left), ``size_cut`` is set for ``run``'s stop test.
@@ -276,6 +297,7 @@ class _Search:
         levels_len = self.levels_len
         dead_before = self.dead_before
         twin_before = self.twin_before
+        near = self.near
         at_leaf = remaining == 1
         for v in range(start, cap + 1):
             if unmet & dead_before[v]:
@@ -295,6 +317,16 @@ class _Search:
             new_mask = mask | (1 << v)
             if hi_in is not None and (new_mask & new_levels[hi_in]):
                 continue
+            if near is not None:
+                # settled lonely members: no in-set neighbor, none to come
+                lonely = new_mask & ~new_levels[0] & dead_before[v + 1]
+                while lonely:
+                    bit = lonely & -lonely
+                    if near[bit.bit_length() - 1] & new_mask:
+                        break
+                    lonely ^= bit
+                if lonely:
+                    continue  # that member is too near another: no extension is scattered
             new_needlo = needlo if self.member_needs_lo else needlo & ~(1 << v)
             if at_leaf:
                 self.nodes += 1
@@ -347,25 +379,35 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
 
 
 def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
-                    on_solution: Callable[[int], bool], *,
-                    max_n: int | None = None, force: bool = False) -> None:
+                    on_solution: Callable[[int], bool], *, near: list[int] | None = None,
+                    max_n: int | None = None, force: bool = False) -> int:
     """Invoke the callback on every satisfying set of ``min_size..max_size``
     members, as a bitmask: sizes ascending, lexicographic order within a
-    size.  The callback returns True to stop early."""
+    size.  The callback returns True to stop early.  Returns the number of
+    search nodes explored.
+
+    Given the graph's ``near`` masks (``domsets.near_masks``), the search
+    applies the scattered cut and lists a superset of the scattered sets,
+    not every set: it skips only sets that no extension makes scattered,
+    but a listed set may still fail the scattered test.
+    """
     if min_size < 0:
         raise ValueError("size must be non-negative")
     _check_cap(graph, max_n, force)
-    _Search(graph, kind).run(min_size, max_size, on_solution)
+    search = _Search(graph, kind, near=near)
+    search.run(min_size, max_size, on_solution)
+    return search.nodes
 
 
 def enumerate_sets(graph: Graph, kind: SetKind, size: int,
                    on_solution: Callable[[frozenset[int]], bool], *,
-                   max_n: int | None = None, force: bool = False) -> None:
+                   max_n: int | None = None, force: bool = False) -> int:
     """Invoke the callback on every satisfying set of the exact size, in
-    lexicographic order; the callback returns True to stop early."""
-    enumerate_masks(graph, kind, size, size,
-                    lambda mask: on_solution(frozenset(mask_to_ids(mask))),
-                    max_n=max_n, force=force)
+    lexicographic order; the callback returns True to stop early.  Returns
+    the number of search nodes explored."""
+    return enumerate_masks(graph, kind, size, size,
+                           lambda mask: on_solution(frozenset(mask_to_ids(mask))),
+                           max_n=max_n, force=force)
 
 
 def closed_form(family: str, n: int, kind: str, k: int = 2) -> int:

@@ -20,13 +20,15 @@ from domkit.domsets import (
     in_sd_class,
     independent_one_k,
     j_dependent_one_k,
+    near_masks,
     one_k,
     satisfies,
+    scattered_test,
     total_dominating,
     total_one_k,
 )
 from domkit import lex_theory
-from domkit.graphs import Graph, build_standard, is_connected, lex_product
+from domkit.graphs import Graph, build_standard, is_connected, lex_product, mask_to_ids
 from domkit.lex_theory import (
     DisconnectedFactorError,
     characterize_independent,
@@ -38,7 +40,7 @@ from domkit.lex_theory import (
     verify_against_oracle,
     verify_membership_against_oracle,
 )
-from domkit.solvers import exists_set, min_set
+from domkit.solvers import enumerate_masks, exists_set, min_set
 
 
 def P(n):
@@ -110,6 +112,89 @@ class TestSdScans:
                     assert sorted(got[1]) == sorted(best[1])
                 hits += first is not None
         assert hits > 40
+
+
+def _uncut_scans(g, j, k):
+    """Both scans' answers from the full listing of j-dependent [1,k]-sets
+    (``enumerate_masks`` without the scattered cut), filtered by
+    ``scattered_test``, and the nodes that listing explored."""
+    scattered = scattered_test(g)
+    adj = g.neighbor_masks
+    first, best = [], []
+
+    def visit(s):
+        size = s.bit_count()
+        if best and size >= best[0]:
+            return True
+        if scattered(s):
+            first[:] = first or [s]
+            value = size + sum(1 for v in mask_to_ids(s) if not adj[v] & s)
+            if not best or value < best[0]:
+                best[:] = [value, s]
+        return False
+
+    nodes = enumerate_masks(g, j_dependent_one_k(j, k), 0, g.n, visit)
+    as_set = lambda s: frozenset(mask_to_ids(s))  # noqa: E731
+    return (as_set(first[0]) if first else None,
+            (best[0], as_set(best[1])) if best else None, nodes)
+
+
+class TestScatteredCut:
+    """The scans search with the scattered cut; their answers must be those
+    of the uncut listing, and their cost far below it."""
+
+    PAIRS = ((0, 1), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3))
+
+    def test_scans_match_the_uncut_listing(self):
+        rng = random.Random(0x5C47)
+        with_isolated = 0
+        for _ in range(2000):
+            n = rng.randint(1, 13)
+            p = rng.choice((0.1, 0.2, 0.3, 0.45, 0.6, 0.8))
+            isolated = rng.randint(1, min(3, n)) if rng.random() < 0.25 else 0
+            core = random_graph(rng, n - isolated, p)
+            ids = rng.sample(range(n), n)  # spread the isolated vertices among the ids
+            g = Graph(n, [(ids[u], ids[v]) for u, v in core.edges()])
+            with_isolated += bool(g.isolated_vertices())
+            for j, k in self.PAIRS:
+                first, best, _ = _uncut_scans(g, j, k)
+                assert first_sd_set(g, j, k) == first, (n, sorted(g.edges()), j, k)
+                assert min_sd_size_plus_alpha(g, j, k) == best, (n, sorted(g.edges()), j, k)
+        assert with_isolated > 500
+
+    @pytest.mark.parametrize("family,j,k,ceiling,uncut", [
+        ("path", 1, 2, 1010, 18564),
+        ("cycle", 1, 2, 1089, 15082),
+        ("path", 2, 2, 3000, 33324),
+        ("cycle", 2, 2, 2610, 24559),
+    ])
+    def test_min_sd_node_ceilings(self, monkeypatch, family, j, k, ceiling, uncut):
+        nodes = []
+
+        def counted(*args, **kwargs):
+            nodes.append(enumerate_masks(*args, **kwargs))
+
+        monkeypatch.setattr(lex_theory, "enumerate_masks", counted)
+        g = build_standard(family, 20)
+        assert lex_theory.min_sd_size_plus_alpha(g, j, k)[0] == 10
+        assert nodes[0] <= ceiling
+        _, best, full = _uncut_scans(g, j, k)
+        assert best[0] == 10 and full == uncut
+
+    def test_cut_lists_a_superset_of_the_scattered_sets(self):
+        rng = random.Random(0x5C48)
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice((0.2, 0.35, 0.5)))
+            scattered = scattered_test(g)
+            near = near_masks(g.neighbor_masks)
+            for j, k in self.PAIRS:
+                kind = j_dependent_one_k(j, k)
+                every, listed = [], []
+                enumerate_masks(g, kind, 0, n, lambda s: every.append(s))
+                enumerate_masks(g, kind, 0, n, lambda s: listed.append(s), near=near)
+                assert [s for s in every if scattered(s)] == [s for s in listed if scattered(s)]
+                assert set(listed) <= set(every)
 
 
 class TestCharacterizeTotal:
