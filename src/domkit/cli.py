@@ -124,6 +124,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        return _usage_error(f"--limit must be non-negative, got {args.limit}")
     # the header is checked against the cap before a graph of its size is built
     graph = load_graph(args.graph, max_n=None if args.force else resolve_cap())
     kind = _build_kind(args.kind, args.j, args.k)

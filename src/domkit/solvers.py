@@ -16,9 +16,11 @@ unsatisfied vertices than ``picks left * gain`` cannot be repaired.  The loop
 over a node's candidates stops at the first candidate whose skipped
 predecessors leave an unsatisfied vertex with no supplier left (a neighbor,
 or the vertex itself for non-total kinds), so no dead child is entered; a
-prefix table makes that one AND per candidate.  No spanning number exceeds
-Delta, so upper bounds at or above Delta are dropped and the per-node
-spanning levels hold at most Delta + 1 entries.
+prefix table makes that one AND per candidate.  A child's own entry cuts
+(the counting bound, then the upper-bound tests) run in its parent's
+candidate loop, before the recursive call, so a child they kill costs no
+call.  No spanning number exceeds Delta, so upper bounds at or above Delta
+are dropped and the per-node spanning levels hold at most Delta + 1 entries.
 
 Twins are vertices with the same open neighbourhood, N(u) = N(v), or the
 same closed one, N[u] = N[v]; swapping two twins maps the graph onto itself.
@@ -56,6 +58,23 @@ that this pass did not reach, down to this pass's leaf level, and no node
 there has a child, or this pass would have flagged that child as a leaf.
 The larger search thus tests no set at all, and a nonexistence proof costs
 one pass, not n.
+
+Deepening never starts a pass for a size that double counting rules out
+(the edge-counting argument for bounded domination in Haynes, Hedetniemi
+and Slater, *Fundamentals of Domination in Graphs*, 1998).  It applies to
+kinds whose outside vertices hear at most hi_out members.  Count the edges
+between a set of s members and the t = n - s other vertices: a member of
+degree d sends at least d - min(s - 1, hi_in) of them and an outside vertex
+receives at most hi_out, so the s smallest degrees must give
+sum(max(0, d - min(s - 1, hi_in))) <= hi_out * t; an outside vertex keeps at
+least d - hi_out neighbors among the t - 1 others, so the t smallest degrees
+must give sum(max(0, d - hi_out)) <= t * (t - 1).  A size that fails holds no
+set.  Skipping it runs no pass, so it cannot end the deepening: the stop
+rule reads only passes that ran.  The variable-size sweep lowers its limit
+to the largest size the bound allows.  Where the whole vertex set is the
+only set, as for C5∘C6 at one_k(2), deepening used to prove every smaller
+size empty one pass at a time; the bound skips most of them (53,211 to
+23,922 nodes).
 """
 
 from __future__ import annotations
@@ -101,6 +120,11 @@ def _check_cap(graph: Graph, max_n: int | None, force: bool) -> None:
     cap = resolve_cap(max_n)
     if not force:
         check_vertex_cap(graph.n, cap)
+
+
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"the limit must be non-negative, got {limit}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +182,8 @@ class _Search:
     the scattered cut, and with neither it reaches every set."""
 
     __slots__ = (
-        "n", "adj", "full", "dead_before", "levels_len", "gain", "hi_in", "hi_out",
-        "member_needs_lo", "twin_before", "near", "nodes", "size_cut",
+        "n", "adj", "full", "delta", "dead_before", "levels_len", "gain", "hi_in", "hi_out",
+        "member_needs_lo", "twin_before", "near", "degrees", "nodes", "size_cut",
     )
 
     def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False,
@@ -168,7 +192,7 @@ class _Search:
         self.adj = adj = graph.neighbor_masks
         self.full = (1 << graph.n) - 1
         lo_in, hi_in, _, hi_out = kind.bounds()
-        delta = max(map(int.bit_count, adj), default=0)
+        self.delta = delta = max(map(int.bit_count, adj), default=0)
         # No spanning number exceeds delta, so a bound >= delta never binds.
         self.hi_in = hi_in if hi_in is not None and hi_in < delta else None
         self.hi_out = hi_out if hi_out is not None and hi_out < delta else None
@@ -192,11 +216,12 @@ class _Search:
         self.dead_before = list(accumulate(buckets, or_))
         self.twin_before = _twin_before(adj, closed) if break_twins else None
         self.near = near
+        self.degrees: list[int] | None = None  # ascending, sorted by _size_fits
         self.nodes = 0
         self.size_cut = False
 
-    def _valid_now(self, mask: int, needlo: int, levels: list[int]) -> bool:
-        if needlo & ~levels[0]:
+    def _valid_now(self, mask: int, unmet: int, levels: list[int]) -> bool:
+        if unmet:
             return False
         if self.hi_out is not None and (levels[self.hi_out] & ~mask):
             return False
@@ -213,6 +238,10 @@ class _Search:
         size-dependent cut touched (``size_cut`` stays False): it tested no
         set of the full target size and pruned nothing for lack of picks, so
         every larger target would explore the same tree and find nothing.
+        A size that the double-counting bound (``_size_fits``) rules out
+        holds no set: deepening skips it without a pass, so it never ends
+        the deepening, and the sweep lowers ``max_size`` to the largest size
+        the bound allows.
         """
         empty = [0] * self.levels_len  # _rec copies levels before changing them
         if any_size or min_size == 0:
@@ -221,25 +250,68 @@ class _Search:
             if self._valid_now(0, self.full, empty) and on_solution(0):
                 return True
         if any_size:
-            return max_size > 0 and self._rec(0, 0, 0, self.full, empty, max_size, False,
-                                              on_solution)
-        for size in range(max(min_size, 1), min(max_size, self.n) + 1):
+            while max_size > 0 and not self._size_fits(max_size):
+                max_size -= 1
+            sizes = [max_size] if max_size > 0 else []
+        else:
+            sizes = range(max(min_size, 1), min(max_size, self.n) + 1)
+        exact = not any_size
+        for size in sizes:
+            if not self._size_fits(size):
+                continue  # no set has this size; a skipped size is not a pass
             self.size_cut = False
-            if self._rec(0, 0, 0, self.full, empty, size, True, on_solution):
+            cap = self._enter(0, size, exact, 0, self.full, empty)
+            if cap >= 0 and self._rec(0, size, 0, self.full, empty, cap, exact, on_solution):
                 return True
             if not self.size_cut:
                 return False  # every larger size would explore this same tree
         return False
 
-    def _candidate_bound(self, start: int, remaining: int, required: int,
-                         mask: int, levels: list[int]) -> int:
-        """Largest candidate id still usable, or -1 when the node is dead.
-
-        ``remaining`` picks are still allowed, of which ``required`` are
-        mandatory (the full count in exact-size search, just the candidate
-        itself in the variable-size sweep).
+    def _size_fits(self, size: int) -> bool:
+        """False when double counting the edges between a set of ``size``
+        members and the other vertices rules the size out (see the module
+        docstring); kinds with no binding hi_out always fit.  The degrees are
+        sorted ascending on first use, so their first entries give the
+        smallest sums that any set of members or of outside vertices has.
         """
-        cap = self.n - required
+        hi_out = self.hi_out
+        if hi_out is None:
+            return True
+        out = self.n - size
+        own = size - 1 if self.hi_in is None else min(size - 1, self.hi_in)
+        budget = hi_out * out
+        delta = self.delta
+        if size * (delta - own) <= budget and delta - hi_out < out:
+            return True  # no degree is large enough for either sum to exceed its budget
+        degrees = self.degrees
+        if degrees is None:
+            degrees = self.degrees = sorted(map(int.bit_count, self.adj))
+        for d in degrees[:size]:
+            if d > own:
+                budget -= d - own
+                if budget < 0:
+                    return False
+        budget = out * (out - 1)
+        for d in degrees[:out]:
+            if d > hi_out:
+                budget -= d - hi_out
+                if budget < 0:
+                    return False
+        return True
+
+    def _enter(self, start: int, remaining: int, exact: bool, mask: int, unmet: int,
+               levels: list[int]) -> int:
+        """Count a node and run its entry cuts: the largest candidate id still
+        usable, or -1 when the node is dead.
+
+        ``remaining`` picks are still allowed; in exact-size search all of
+        them are mandatory, in the variable-size sweep just the candidate.
+        """
+        self.nodes += 1
+        if unmet.bit_count() > remaining * self.gain:
+            self.size_cut = True
+            return -1
+        cap = self.n - (remaining if exact else 1)
         hi_out = self.hi_out
         if hi_out is not None:
             must = levels[hi_out] & ~mask
@@ -257,47 +329,43 @@ class _Search:
                 cap = min(cap, (must & -must).bit_length() - 1)
         return cap
 
-    def _rec(self, start: int, picked: int, mask: int, needlo: int,
-             levels: list[int], size: int, exact: bool,
+    def _rec(self, start: int, remaining: int, mask: int, unmet: int,
+             levels: list[int], cap: int, exact: bool,
              on_solution: Callable[[int], bool]) -> bool:
-        """Extend the set ``mask`` of ``picked`` members by candidates >= ``start``.
+        """Extend the set ``mask`` by candidates ``start..cap``; ``remaining``
+        picks are left.
 
-        With ``exact`` only sets of exactly ``size`` members are tested;
-        otherwise every extension of at most ``size`` members is.  A node is
-        cut when the unmet vertices outnumber what the picks left can
-        satisfy (each new member newly satisfies at most ``gain`` of them),
-        or when no candidate can repair an upper bound already exceeded.
-        The candidate loop stops once the candidates skipped so far,
-        ``start..v-1``, were the last suppliers of some unmet vertex; at
-        ``v = start`` that is the test for a node that is already dead.
+        ``_enter`` has counted this node and found ``cap``; each child's
+        ``_enter`` runs in the candidate loop, before the recursive call, so
+        a child that its entry cuts kill costs no call.  With ``exact`` only
+        sets that use every pick are tested; otherwise every extension is.
+        ``_enter`` cuts a node when the unmet vertices outnumber what the
+        picks left can satisfy (each new member newly satisfies at most
+        ``gain`` of them), or when no candidate can repair an upper bound
+        already exceeded.  The candidate loop stops once the candidates
+        skipped so far, ``start..v-1``, were the last suppliers of some unmet
+        vertex; at ``v = start`` that is the test for a node that is already
+        dead.
         The twin cut skips a candidate whose next lower twin is not in
         ``mask``: that twin can no longer join, swapping the two gives a
         valid set of the same size that comes first, and the skip reads
-        ``mask`` alone, never ``size``.
+        ``mask`` alone, never the target size.
         The scattered cut skips a child in which a settled lonely member, one
         with no in-set neighbor and no neighbor after ``v``, has another
         member within distance 2: no later candidate can give it a neighbor
         or take that member away, so no extension is scattered.  It reads
-        the child's set, its ``levels[0]`` and ``v``, never ``size``.
-        Whenever a cut depends on ``size`` (the counting bound, too many
-        vertices that must join, or a child that would be extended if more
-        picks were left), ``size_cut`` is set for ``run``'s stop test.
+        the child's set, its ``levels[0]`` and ``v``, never the target size.
+        Whenever a cut depends on the target size (the counting bound, too
+        many vertices that must join, or a child that would be extended if
+        more picks were left), ``size_cut`` is set for ``run``'s stop test.
         """
-        self.nodes += 1
-        remaining = size - picked
-        unmet = needlo & ~levels[0]
-        if unmet.bit_count() > remaining * self.gain:
-            self.size_cut = True
-            return False
-        cap = self._candidate_bound(start, remaining, remaining if exact else 1, mask, levels)
-        if cap < 0:
-            return False
         hi_in = self.hi_in
         adj = self.adj
         levels_len = self.levels_len
         dead_before = self.dead_before
         twin_before = self.twin_before
         near = self.near
+        member_needs_lo = self.member_needs_lo
         at_leaf = remaining == 1
         for v in range(start, cap + 1):
             if unmet & dead_before[v]:
@@ -327,15 +395,19 @@ class _Search:
                     lonely ^= bit
                 if lonely:
                     continue  # that member is too near another: no extension is scattered
-            new_needlo = needlo if self.member_needs_lo else needlo & ~(1 << v)
+            # a new member meets its own lower bound unless it needs an in-set neighbor
+            new_unmet = unmet & ~(new_levels[0] if member_needs_lo else new_levels[0] | 1 << v)
             if at_leaf:
                 self.nodes += 1
                 self.size_cut = True  # a larger size would extend this child
-            if (at_leaf or not exact) and self._valid_now(new_mask, new_needlo, new_levels):
+            if (at_leaf or not exact) and self._valid_now(new_mask, new_unmet, new_levels):
                 if on_solution(new_mask):
                     return True
-            if not at_leaf and self._rec(v + 1, picked + 1, new_mask, new_needlo,
-                                         new_levels, size, exact, on_solution):
+            if at_leaf:
+                continue
+            child_cap = self._enter(v + 1, remaining - 1, exact, new_mask, new_unmet, new_levels)
+            if child_cap >= 0 and self._rec(v + 1, remaining - 1, new_mask, new_unmet,
+                                            new_levels, child_cap, exact, on_solution):
                 return True
         return False
 
@@ -347,8 +419,9 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     Iterates target sizes 0, 1, 2, ... and returns the lexicographically
     smallest witness at the first feasible size.  With ``limit`` the search
     stops after that cardinality and reports ``exists=False`` when nothing
-    was found within it.
+    was found within it; a negative ``limit`` raises ``ValueError``.
     """
+    _check_limit(limit)
     _check_cap(graph, max_n, force)
     search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
@@ -370,8 +443,10 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     """True iff some vertex set of the kind exists (within ``limit`` if given).
 
     Uses a single variable-size sweep rather than cardinality-ordered search,
-    so it is the cheaper query when only existence matters.
+    so it is the cheaper query when only existence matters.  A negative
+    ``limit`` raises ``ValueError``.
     """
+    _check_limit(limit)
     _check_cap(graph, max_n, force)
     search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)

@@ -119,6 +119,12 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(p5), "--kind", "dom")
         assert code == 1 and out == "" and "non-negative" in err
 
+    def test_negative_limit_exits_64(self, capsys, c5_file):
+        code, out, err = run(capsys, "solve", c5_file, "--kind", "dom", "--limit", "-1")
+        assert code == 64 and out == "" and "--limit must be non-negative" in err
+        code, out, _ = run(capsys, "solve", c5_file, "--kind", "dom", "--limit", "0")
+        assert code == 0 and json.loads(out)["exists"] is False
+
     def test_force_overrides_cap(self, tmp_path, capsys):
         big = tmp_path / "big.el"
         big.write_text(format_edge_list(build_standard("star", 33)))

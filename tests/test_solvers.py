@@ -21,6 +21,7 @@ from test_graphs import graphs_strategy
 from domkit.domsets import (
     BASES,
     SetKind,
+    base_parameters,
     dominating,
     efficient,
     independent_one_k,
@@ -206,6 +207,74 @@ class TestSearchEffort:
             search = _Search(graph, total_one_k(2))
             assert search.run(0, meta.budget, lambda mask: True, any_size=True) is found
             assert search.nodes <= nodes
+
+
+def _kinds_k_up_to_3():
+    """Every base with k in {1, 2, 3} and every valid j."""
+    kinds = []
+    for base in BASES:
+        ks = (1, 2, 3) if "k" in base_parameters(base) else (None,)
+        for k in ks:
+            js = range(k + 1) if "j" in base_parameters(base) else (None,)
+            kinds += [SetKind(base, k=k, j=j) for j in js]
+    return kinds
+
+
+class TestDoubleCountingSizeBound:
+    """Deepening skips every size that double counting the edges between
+    the set and the rest rules out; the skipped sizes must hold no set."""
+
+    def test_ruled_out_sizes_hold_no_set(self):
+        rng = random.Random(0xD0C)
+        kinds = _kinds_k_up_to_3()
+        ruled_out = 0
+        for n in range(1, 11):
+            for p in (0.2, 0.4, 0.6, 0.8, 0.95):
+                g = random_graph(rng, n, p)
+                for kind in kinds:
+                    sizes = {len(h) for h in brute_all(g, kind)}
+                    search = _Search(g, kind)
+                    for size in range(1, n + 1):
+                        if not search._size_fits(size):
+                            ruled_out += 1
+                            assert size not in sizes, (g, kind, size)
+        assert ruled_out >= 2000  # the bound is not vacuous on these graphs
+
+    def test_answers_and_listing_order_unchanged(self, monkeypatch):
+        rng = random.Random(0x51CE)
+        kinds = _kinds_k_up_to_3()
+        graphs = [random_graph(rng, rng.randint(2, 10), rng.choice((0.3, 0.6, 0.9)))
+                  for _ in range(40)]
+
+        def answers():
+            out = []
+            for g in graphs:
+                for kind in kinds:
+                    listed = []
+                    nodes = enumerate_masks(g, kind, 0, g.n,
+                                            lambda m: (listed.append(m), False)[1])
+                    r = min_set(g, kind)
+                    out.append(((r.gamma, r.witness, exists_set(g, kind), listed),
+                                (r.nodes_explored, nodes)))
+            return out
+
+        bounded = answers()
+        monkeypatch.setattr(_Search, "_size_fits", lambda self, size: True)
+        unbounded = answers()
+        assert [a for a, _ in bounded] == [a for a, _ in unbounded]
+        assert all(b <= u for (_, bn), (_, un) in zip(bounded, unbounded)
+                   for b, u in zip(bn, un))
+        assert sum(sum(bn) for _, bn in bounded) < sum(sum(un) for _, un in unbounded)
+
+    def test_whole_vertex_set_proofs_stay_small(self):
+        # 53,211, 24,194 and 15,222 nodes when every size is searched
+        c5 = build_standard("cycle", 5)
+        for m, kind, nodes in ((6, one_k(2), 27294), (5, one_k(2), 14745),
+                               (6, total_one_k(2), 9194)):
+            product, _ = lex_product(c5, build_standard("cycle", m))
+            r = min_set(product, kind)
+            assert r.gamma == (product.n if kind == one_k(2) else None)
+            assert r.nodes_explored <= nodes, (m, kind)
 
 
 class TestDeepeningStopRule:
@@ -501,6 +570,14 @@ class TestDeterminismAndCap:
         monkeypatch.setenv("DOMKIT_MAX_N", "0")
         with pytest.raises(GraphTooLargeError):
             min_set(p5, dominating())
+
+    def test_negative_limit_rejected(self):
+        for g in (Graph(0), build_standard("path", 5)):
+            for call in (min_set, exists_set):
+                with pytest.raises(ValueError, match="limit must be non-negative"):
+                    call(g, dominating(), limit=-1)
+            assert min_set(g, dominating(), limit=0).exists is (g.n == 0)
+            assert exists_set(g, dominating(), limit=0) is (g.n == 0)
 
     def test_explicit_cap_argument(self):
         with pytest.raises(GraphTooLargeError):
