@@ -13,16 +13,30 @@ import json
 import sys
 
 from .domsets import SetKind, base_parameters
-from .graphs import build_standard, format_edge_list, lex_product, load_graph, save_graph
+from .graphs import (
+    build_standard,
+    format_edge_list,
+    lex_product,
+    load_graph,
+    save_graph,
+    write_text,
+)
 from .lex_theory import (
     characterize_independent,
     characterize_total,
+    check_k,
     product_gamma,
     verify_against_oracle,
     verify_membership_against_oracle,
 )
 from .npc import build_gadget, decide_x3c, x3c_from_json
-from .solvers import GraphTooLargeError, closed_form, min_set, resolve_cap
+from .solvers import (
+    GraphTooLargeError,
+    check_closed_form_k,
+    closed_form,
+    min_set,
+    resolve_cap,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,15 +85,20 @@ def _build_kind(token: str, j: int | None, k: int | None) -> SetKind:
     for flag in ("k", "j"):
         if flag in takes and given[flag] is None:
             raise SystemExit(_usage_error(f"--{flag} is required for kind {token}"))
-    try:
-        return SetKind(base, **{p: given[p] for p in takes})
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc))) from None
+    return _or_usage_error(SetKind, base, **{p: given[p] for p in takes})
 
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _or_usage_error(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a ``ValueError`` turned into exit 64."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit(_usage_error(str(exc))) from None
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -118,8 +137,7 @@ def _cmd_product(args) -> int:
             "h_layers": {str(gv): list(idx.h_layer(gv)) for gv in range(idx.n_g)},
             "g_layers": {str(hv): list(idx.g_layer(hv)) for hv in range(idx.n_h)},
         }
-        with open(args.layer_map, "w", encoding="utf-8") as fh:
-            json.dump(layer_map, fh)
+        write_text(args.layer_map, json.dumps(layer_map))
     return EXIT_OK
 
 
@@ -135,6 +153,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    _or_usage_error(check_closed_form_k, args.k)
     value = closed_form(args.family, args.n, CLOSED_FORM_TOKENS[args.kind], args.k)
     _emit({"family": args.family, "n": args.n, "kind": args.kind,
            "k": args.k, "value": value}, args.pretty)
@@ -142,10 +161,11 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_theorem(args) -> int:
+    kind = PRODUCT_KIND_TOKENS[args.kind] if args.which == "product-gamma" else None
+    _or_usage_error(check_k, args.k, kind)
     g = load_graph(args.g)
     h = load_graph(args.h)
-    if args.which == "product-gamma":
-        kind = PRODUCT_KIND_TOKENS[args.kind]
+    if kind is not None:
         if args.compare_oracle:
             result = verify_against_oracle(g, h, kind, args.k, force=args.force)
         else:
@@ -170,8 +190,7 @@ def _cmd_reduce(args) -> int:
     else:
         sys.stdout.write(format_edge_list(graph))
     if args.meta:
-        with open(args.meta, "w", encoding="utf-8") as fh:
-            fh.write(meta.to_sidecar_json())
+        write_text(args.meta, meta.to_sidecar_json())
     return EXIT_OK
 
 

@@ -169,8 +169,13 @@ def _require_connected(graph: Graph) -> None:
         raise DisconnectedFactorError("first factor must be connected")
 
 
-def _check_k(k: int) -> None:
-    if k < 2:
+def check_k(k: int, kind: str | None = None) -> None:
+    """Raise ``ValueError`` unless the product theorems cover ``k``: k = 2 for
+    the ``*_2`` product kinds, k >= 2 for the others and the characterizations."""
+    if kind is not None and kind.endswith("_2"):
+        if k != 2:
+            raise ValueError(f"{kind} is defined for k=2 only")
+    elif k < 2:
         raise ValueError(f"product theorems require k >= 2, got {k}")
 
 
@@ -232,7 +237,7 @@ def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     with a small total [1,k]-set in H; (4) a (k-1)-dependent [1,k]-set of G,
     with the H threshold k for scattered sets and floor(k/2) otherwise.
     """
-    _check_k(k)
+    check_k(k)
     _require_connected(g)
     t1k_kind = total_one_k(k)
 
@@ -275,7 +280,7 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     dominating set in G with an independent [1,k]-set of size <= k in H;
     (3) an independent [1,k]-set in G with the H threshold floor(k/2).
     """
-    _check_k(k)
+    check_k(k)
     _require_connected(g)
     i1k_kind = independent_one_k(k)
 
@@ -328,11 +333,7 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2) -> ProductAnalysis:
     """
     if kind not in PRODUCT_GAMMA_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    if kind.endswith("_2"):
-        if k != 2:
-            raise ValueError(f"{kind} is defined for k=2 only")
-    else:
-        _check_k(k)
+    check_k(k, kind)
     _require_connected(g)
     target = oracle_kind(kind, k)
 

@@ -485,6 +485,12 @@ def enumerate_sets(graph: Graph, kind: SetKind, size: int,
                            max_n=max_n, force=force)
 
 
+def check_closed_form_k(k: int) -> None:
+    """Raise ``ValueError`` unless the closed forms cover ``k`` (k >= 2)."""
+    if k < 2:
+        raise ValueError("closed forms require k >= 2")
+
+
 def closed_form(family: str, n: int, kind: str, k: int = 2) -> int:
     """Known minimum sizes on paths and cycles; independent of k for k >= 2.
 
@@ -495,8 +501,7 @@ def closed_form(family: str, n: int, kind: str, k: int = 2) -> int:
         raise ValueError(f"closed forms cover path and cycle, not {family!r}")
     if kind not in ("t1k", "one_k", "i1k"):
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    if k < 2:
-        raise ValueError("closed forms require k >= 2")
+    check_closed_form_k(k)
     minimum = 2 if family == "path" else 3
     if n < minimum:
         raise ValueError(f"{family} closed form requires n >= {minimum}")

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -59,6 +60,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", "hypercube", "4")
         assert code == 64 and "error" in err
 
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, capsys):
+        target = tmp_path / "g.el"
+        assert run(capsys, "gen", "complete", "8", "-o", str(target))[0] == 0
+        assert run(capsys, "gen", "path", "2", "-o", str(target))[0] == 0
+        assert target.read_text() == run(capsys, "gen", "path", "2")[1]
+
 
 class TestProduct:
     def test_product_and_layer_map(self, tmp_path, capsys, c5_file, c4_file):
@@ -72,6 +79,20 @@ class TestProduct:
         layers = json.loads(map_file.read_text())
         assert layers["h_layers"]["0"] == [0, 1, 2, 3]
         assert layers["g_layers"]["0"] == [0, 4, 8, 12, 16]
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, capsys, c5_file,
+                                                  c4_file):
+        k1 = tmp_path / "k1.el"
+        k1.write_text(format_edge_list(build_standard("path", 1)))
+        out_file, map_file = tmp_path / "p.el", tmp_path / "layers.json"
+        fresh_map = tmp_path / "fresh.json"
+        for g, h, layer_map in ((c5_file, c4_file, map_file), (c4_file, str(k1), map_file),
+                                (c4_file, str(k1), fresh_map)):
+            code, _, _ = run(capsys, "product", g, h, "-o", str(out_file),
+                             "--layer-map", str(layer_map))
+            assert code == 0
+        assert out_file.read_text() == run(capsys, "product", c4_file, str(k1))[1]
+        assert map_file.read_text() == fresh_map.read_text()
 
     def test_missing_file_exits_1(self, capsys, c5_file):
         code, _, err = run(capsys, "product", c5_file, "/nonexistent.el")
@@ -174,6 +195,10 @@ class TestClosedForm:
         code, _, _ = run(capsys, "closed-form", "cycle", "2", "--kind", "1k")
         assert code == 1
 
+    def test_bad_k_exits_64(self, capsys):
+        code, out, err = run(capsys, "closed-form", "cycle", "7", "--kind", "t1k", "--k", "0")
+        assert code == 64 and out == "" and "closed forms require k >= 2" in err
+
 
 class TestTheorem:
     def test_product_gamma_compare_agrees(self, capsys, c5_file, c4_file):
@@ -203,6 +228,17 @@ class TestTheorem:
         assert code == 0
         assert json.loads(out)["predicted_gamma"] == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (("product-gamma", "--kind", "i-one-k", "--k", "0"),
+         "product theorems require k >= 2, got 0"),
+        (("product-gamma", "--kind", "one2", "--k", "3"), "one_2 is defined for k=2 only"),
+        (("total", "--k", "-1"), "product theorems require k >= 2, got -1"),
+        (("independent", "--k", "1"), "product theorems require k >= 2, got 1"),
+    ])
+    def test_bad_k_exits_64(self, capsys, c5_file, c4_file, argv, message):
+        code, out, err = run(capsys, "theorem", argv[0], c5_file, c4_file, *argv[1:])
+        assert code == 64 and out == "" and message in err
+
     def test_disconnected_factor_exits_1(self, tmp_path, capsys, c4_file):
         bad = tmp_path / "disc.el"
         bad.write_text(format_edge_list(build_standard("empty", 2)))
@@ -223,6 +259,26 @@ class TestReduceAndDecide:
         assert g.n == 10 and g.num_edges == 16
         sidecar = json.loads(meta.read_text())
         assert sidecar["budget"] == 3
+
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, capsys):
+        big, small = tmp_path / "big.json", tmp_path / "small.json"
+        big.write_text(json.dumps({"universe": 6, "sets": [[0, 1, 2], [3, 4, 5], [1, 2, 3]]}))
+        small.write_text(json.dumps({"universe": 3, "sets": [[0, 1, 2]]}))
+        gadget, meta, fresh_meta = (tmp_path / name for name in ("g.el", "m.json", "f.json"))
+        for inst, meta_path in ((big, meta), (small, meta), (small, fresh_meta)):
+            code, _, _ = run(capsys, "reduce", str(inst), "-o", str(gadget),
+                             "--meta", str(meta_path))
+            assert code == 0
+        assert gadget.read_text() == run(capsys, "reduce", str(small))[1]
+        assert meta.read_text() == fresh_meta.read_text()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_reduce_to_dev_null(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"universe": 3, "sets": [[0, 1, 2]]}))
+        code, out, _ = run(capsys, "reduce", str(inst), "-o", "/dev/null",
+                           "--meta", "/dev/null")
+        assert code == 0 and out == ""
 
     def test_decide_both_modes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from domkit.graphs import (
     is_connected,
     lex_product,
     parse_edge_list,
+    write_text,
 )
 
 
@@ -283,3 +285,39 @@ class TestEdgeListFormat:
     @given(graphs_strategy(7))
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+class TestWriteText:
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        target = tmp_path / "out.txt"
+        write_text(str(target), "0123456789\n" * 50)
+        write_text(str(target), "short\n")
+        assert target.read_text() == "short\n"
+
+    def test_bytes_match_open_w(self, tmp_path):
+        text = "5 2\n0 1\nγ ∘ λ\r\n\n"
+        ours, reference = tmp_path / "ours", tmp_path / "reference"
+        write_text(str(ours), text)
+        with open(reference, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert ours.read_bytes() == reference.read_bytes()
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_text(str(tmp_path / "new.txt"), "x\n")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    def test_symlink_updates_its_target(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("a much longer old content\n")
+        link.symlink_to(target)
+        write_text(str(link), "new\n")
+        assert link.is_symlink()
+        assert target.read_text() == "new\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_non_regular_target_is_not_truncated(self):
+        write_text("/dev/null", "discarded\n")
