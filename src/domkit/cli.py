@@ -11,15 +11,16 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import ExitStack
 
 from .domsets import SetKind, base_parameters
 from .graphs import (
     build_standard,
+    fill_text,
     format_edge_list,
     lex_product,
     load_graph,
-    save_graph,
-    write_text,
+    open_text,
 )
 from .lex_theory import (
     characterize_independent,
@@ -110,14 +111,24 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload))
 
 
+def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
+    """Write each text to its path, or to stdout where the path is empty.  All
+    paths are opened first, so one that fails to open leaves every output unwritten."""
+    with ExitStack() as stack:
+        files = [path and stack.enter_context(open_text(path)) for path, _ in outputs]
+        for fh, (_, text) in zip(files, outputs):
+            if fh:
+                fill_text(fh, text)
+            else:
+                sys.stdout.write(text)
+
+
 def _cmd_gen(args) -> int:
     graph = build_standard(args.family, args.n)
+    _write_outputs([(args.output, format_edge_list(graph))])
     if args.output:
-        save_graph(graph, args.output)
         print(f"wrote {args.output} ({graph.n} vertices, {graph.num_edges} edges)",
               file=sys.stderr)
-    else:
-        sys.stdout.write(format_edge_list(graph))
     return EXIT_OK
 
 
@@ -125,11 +136,7 @@ def _cmd_product(args) -> int:
     g = load_graph(args.g)
     h = load_graph(args.h)
     product, idx = lex_product(g, h)
-    if args.output:
-        save_graph(product, args.output)
-        print(f"wrote {args.output} ({product.n} vertices)", file=sys.stderr)
-    else:
-        sys.stdout.write(format_edge_list(product))
+    outputs = [(args.output, format_edge_list(product))]
     if args.layer_map:
         layer_map = {
             "n_g": idx.n_g,
@@ -137,7 +144,10 @@ def _cmd_product(args) -> int:
             "h_layers": {str(gv): list(idx.h_layer(gv)) for gv in range(idx.n_g)},
             "g_layers": {str(hv): list(idx.g_layer(hv)) for hv in range(idx.n_h)},
         }
-        write_text(args.layer_map, json.dumps(layer_map))
+        outputs.append((args.layer_map, json.dumps(layer_map)))
+    _write_outputs(outputs)
+    if args.output:
+        print(f"wrote {args.output} ({product.n} vertices)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -183,14 +193,13 @@ def _cmd_reduce(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = x3c_from_json(fh.read())
     graph, meta = build_gadget(inst)
+    outputs = [(args.output, format_edge_list(graph))]
+    if args.meta:
+        outputs.append((args.meta, meta.to_sidecar_json()))
+    _write_outputs(outputs)
     if args.output:
-        save_graph(graph, args.output)
         print(f"wrote {args.output} ({graph.n} vertices, budget {meta.budget})",
               file=sys.stderr)
-    else:
-        sys.stdout.write(format_edge_list(graph))
-    if args.meta:
-        write_text(args.meta, meta.to_sidecar_json())
     return EXIT_OK
 
 

@@ -5,8 +5,7 @@ within a cardinality, in ascending lexicographic order of the sorted vertex
 ids, so the first satisfying set found is the canonical witness.  One
 recursive loop serves both modes: ``min_set`` and ``enumerate_sets`` deepen
 over exact target sizes, while ``exists_set`` makes one variable-size sweep
-up to its limit (on the 491 X3C gadgets that need a search the sweep explores
-90,522 nodes where per-size deepening explores 159,984).
+up to its limit (90,522 nodes on the X3C gadgets, against 159,984).
 
 Pruning is sound-only.  A branch is cut when a spanning number already
 exceeds the applicable upper bound with no way to recover, or by a counting
@@ -15,12 +14,14 @@ total kinds, whose members need an in-set neighbor themselves), so more
 unsatisfied vertices than ``picks left * gain`` cannot be repaired.  The loop
 over a node's candidates stops at the first candidate whose skipped
 predecessors leave an unsatisfied vertex with no supplier left (a neighbor,
-or the vertex itself for non-total kinds), so no dead child is entered; a
-prefix table makes that one AND per candidate.  A child's own entry cuts
-(the counting bound, then the upper-bound tests) run in its parent's
-candidate loop, before the recursive call, so a child they kill costs no
-call.  No spanning number exceeds Delta, so upper bounds at or above Delta
-are dropped and the per-node spanning levels hold at most Delta + 1 entries.
+or the vertex itself for non-total kinds); a prefix table makes that one AND
+per candidate.  No spanning number exceeds Delta, so upper bounds at or above
+Delta are dropped.  A node's levels hold at most Delta + 1 masks: level i
+holds the vertices with more than i neighbors in the set, so they are
+nested and the child that adds v has level i equal to
+``levels[i] | adj[v] & levels[i - 1]``.  The candidate loop reads each
+child's cuts, unmet vertices and validity from that identity; only a child
+that will be extended builds a levels list and costs a call.
 
 Twins are vertices with the same open neighbourhood, N(u) = N(v), or the
 same closed one, N[u] = N[v]; swapping two twins maps the graph onto itself.
@@ -30,9 +31,8 @@ Roy, KR 1996).  Every kind is defined by bounds on |N(x) & S| alone, so
 swapping twins u < v in a set that holds v but not u gives a set of the same
 kind and size that is lexicographically smaller.  The lexicographically
 smallest minimum witness thus never breaks the rule, so every answer and
-witness is that of the full search; only ``nodes_explored`` falls (501,407
-to 90,522 on the X3C sweep).  ``enumerate_masks`` and ``enumerate_sets``
-must list every set, so they search without the cut.
+witness is that of the full search; only ``nodes_explored`` falls.
+``enumerate_masks`` and ``enumerate_sets`` list every set, without the cut.
 
 The scattered-set scans of ``lex_theory`` pass the graph's ``near`` masks
 (vertices at distance 1 or 2) to ``enumerate_masks``, which then applies the
@@ -41,23 +41,17 @@ is its neighbor, and lonely while it has no in-set neighbor; a settled
 lonely member stays lonely in every extension, so once another member lies
 within distance 2 of it no extension is scattered and the child is skipped.
 The scans accept only scattered sets, so their answers are those of the
-full listing; on P20 at j = 1, k = 2 ``min_sd_size_plus_alpha`` explores
-1,010 nodes instead of 18,564.
+full listing.
 
-Exact-size deepening stops early by the termination test of iterative
-deepening (Korf, 1985): a pass in which no cut depended on the target size
-proves that no larger size has a solution either.  The size-dependent cuts
-are the counting bound, the count of vertices that must still join, and the
-leaf level itself; every other cut (upper bounds, dead candidates) fires
-only on sets that no extension can repair, at any size, and the twin and
-scattered cuts read only the set and its last pick, so they cut the same
-nodes at every size.  A larger target
-keeps those cuts, lowers the last usable candidate id and only relaxes the
-size-dependent cuts, so when none of them fired its tree holds no node
-that this pass did not reach, down to this pass's leaf level, and no node
-there has a child, or this pass would have flagged that child as a leaf.
-The larger search thus tests no set at all, and a nonexistence proof costs
-one pass, not n.
+Exact-size deepening stops by the termination test of iterative deepening
+(Korf, 1985): a pass in which no cut depended on the target size proves that
+no larger size has a solution either.  The size-dependent cuts are the
+counting bound, the count of vertices that must still join, and the leaf
+level.  The others fire at any size: upper bounds and dead candidates only
+on sets that no extension repairs, the twin and scattered cuts on the set
+and its last pick alone.  A larger target keeps them and only relaxes the
+size-dependent cuts, so when none of those fired it reaches no node beyond
+this pass's tree, tests no set, and a nonexistence proof costs one pass.
 
 Deepening never starts a pass for a size that double counting rules out
 (the edge-counting argument for bounded domination in Haynes, Hedetniemi
@@ -69,12 +63,8 @@ receives at most hi_out, so the s smallest degrees must give
 sum(max(0, d - min(s - 1, hi_in))) <= hi_out * t; an outside vertex keeps at
 least d - hi_out neighbors among the t - 1 others, so the t smallest degrees
 must give sum(max(0, d - hi_out)) <= t * (t - 1).  A size that fails holds no
-set.  Skipping it runs no pass, so it cannot end the deepening: the stop
-rule reads only passes that ran.  The variable-size sweep lowers its limit
-to the largest size the bound allows.  Where the whole vertex set is the
-only set, as for C5∘C6 at one_k(2), deepening used to prove every smaller
-size empty one pass at a time; the bound skips most of them (53,211 to
-23,922 nodes).
+set; skipping it runs no pass, so it cannot end the deepening, and the sweep
+lowers its limit to the largest size the bound allows.
 """
 
 from __future__ import annotations
@@ -200,9 +190,8 @@ class _Search:
         # One new member newly satisfies at most its delta neighbors, plus
         # itself when members need no in-set neighbor.
         self.gain = delta + (0 if self.member_needs_lo else 1)
-        finite = [b for b in (self.hi_in, self.hi_out) if b is not None]
         # levels[i] = mask of vertices with spanning number >= i + 1
-        self.levels_len = (max(finite) + 1) if finite else 1
+        self.levels_len = 1 + max(b for b in (self.hi_in, self.hi_out, 0) if b is not None)
         # A vertex's suppliers are its neighbors, plus itself when membership
         # lifts its lower bound.  dead_before[v] = vertices whose suppliers all
         # have ids below v: once the candidates start..v-1 are skipped, an
@@ -220,13 +209,6 @@ class _Search:
         self.nodes = 0
         self.size_cut = False
 
-    def _valid_now(self, mask: int, unmet: int, levels: list[int]) -> bool:
-        if unmet:
-            return False
-        if self.hi_out is not None and (levels[self.hi_out] & ~mask):
-            return False
-        return True
-
     def run(self, min_size: int, max_size: int, on_solution: Callable[[int], bool],
             any_size: bool = False) -> bool:
         """Explore candidate sets; sizes ascending, lexicographic within a size.
@@ -241,27 +223,31 @@ class _Search:
         A size that the double-counting bound (``_size_fits``) rules out
         holds no set: deepening skips it without a pass, so it never ends
         the deepening, and the sweep lowers ``max_size`` to the largest size
-        the bound allows.
+        the bound allows.  The root, the empty set, is valid only when n = 0;
+        no vertex must join it, so its one entry cut is the counting bound.
         """
-        empty = [0] * self.levels_len  # _rec copies levels before changing them
+        n = self.n
         if any_size or min_size == 0:
-            # the empty set is only valid on the empty graph
             self.nodes += 1
-            if self._valid_now(0, self.full, empty) and on_solution(0):
+            if n == 0 and on_solution(0):
                 return True
         if any_size:
             while max_size > 0 and not self._size_fits(max_size):
                 max_size -= 1
             sizes = [max_size] if max_size > 0 else []
         else:
-            sizes = range(max(min_size, 1), min(max_size, self.n) + 1)
+            sizes = range(max(min_size, 1), min(max_size, n) + 1)
         exact = not any_size
+        empty = [0] * self.levels_len  # _rec copies levels before changing them
         for size in sizes:
             if not self._size_fits(size):
                 continue  # no set has this size; a skipped size is not a pass
+            self.nodes += 1
+            if n > size * self.gain:
+                continue  # the counting bound, which a larger size may pass
             self.size_cut = False
-            cap = self._enter(0, size, exact, 0, self.full, empty)
-            if cap >= 0 and self._rec(0, size, 0, self.full, empty, cap, exact, on_solution):
+            if self._rec(0, size, 0, self.full, empty, n - (size if exact else 1), exact,
+                         on_solution):
                 return True
             if not self.size_cut:
                 return False  # every larger size would explore this same tree
@@ -270,9 +256,8 @@ class _Search:
     def _size_fits(self, size: int) -> bool:
         """False when double counting the edges between a set of ``size``
         members and the other vertices rules the size out (see the module
-        docstring); kinds with no binding hi_out always fit.  The degrees are
-        sorted ascending on first use, so their first entries give the
-        smallest sums that any set of members or of outside vertices has.
+        docstring); kinds with no binding hi_out always fit.  The degrees,
+        sorted on first use, give the smallest sums any set can have.
         """
         hi_out = self.hi_out
         if hi_out is None:
@@ -299,116 +284,115 @@ class _Search:
                     return False
         return True
 
-    def _enter(self, start: int, remaining: int, exact: bool, mask: int, unmet: int,
-               levels: list[int]) -> int:
-        """Count a node and run its entry cuts: the largest candidate id still
-        usable, or -1 when the node is dead.
-
-        ``remaining`` picks are still allowed; in exact-size search all of
-        them are mandatory, in the variable-size sweep just the candidate.
-        """
-        self.nodes += 1
-        if unmet.bit_count() > remaining * self.gain:
-            self.size_cut = True
-            return -1
-        cap = self.n - (remaining if exact else 1)
-        hi_out = self.hi_out
-        if hi_out is not None:
-            must = levels[hi_out] & ~mask
-            if must:
-                # vertices over the off-set bound must join the set
-                if must & ((1 << start) - 1):
-                    return -1
-                if self.hi_in is not None and self.hi_in <= hi_out:
-                    return -1
-                if self.hi_in is not None and (must & levels[self.hi_in]):
-                    return -1
-                if must.bit_count() > remaining:
-                    self.size_cut = True
-                    return -1
-                cap = min(cap, (must & -must).bit_length() - 1)
-        return cap
-
     def _rec(self, start: int, remaining: int, mask: int, unmet: int,
              levels: list[int], cap: int, exact: bool,
              on_solution: Callable[[int], bool]) -> bool:
         """Extend the set ``mask`` by candidates ``start..cap``; ``remaining``
-        picks are left.
+        picks are left, and the caller has counted this node.
 
-        ``_enter`` has counted this node and found ``cap``; each child's
-        ``_enter`` runs in the candidate loop, before the recursive call, so
-        a child that its entry cuts kill costs no call.  With ``exact`` only
-        sets that use every pick are tested; otherwise every extension is.
-        ``_enter`` cuts a node when the unmet vertices outnumber what the
-        picks left can satisfy (each new member newly satisfies at most
-        ``gain`` of them), or when no candidate can repair an upper bound
-        already exceeded.  The candidate loop stops once the candidates
-        skipped so far, ``start..v-1``, were the last suppliers of some unmet
-        vertex; at ``v = start`` that is the test for a node that is already
-        dead.
-        The twin cut skips a candidate whose next lower twin is not in
-        ``mask``: that twin can no longer join, swapping the two gives a
-        valid set of the same size that comes first, and the skip reads
-        ``mask`` alone, never the target size.
-        The scattered cut skips a child in which a settled lonely member, one
-        with no in-set neighbor and no neighbor after ``v``, has another
-        member within distance 2: no later candidate can give it a neighbor
-        or take that member away, so no extension is scattered.  It reads
-        the child's set, its ``levels[0]`` and ``v``, never the target size.
+        Each child is read off this node's nested levels (see the module
+        docstring): its levels 0, ``hi_in`` and ``hi_out``, its unmet
+        vertices and its validity cost a few mask operations, and only a
+        child that passes its entry cuts and will be extended gets a levels
+        list and a call.  With ``exact`` only sets that use every pick are
+        tested; otherwise every extension is.  The loop stops once the
+        skipped candidates ``start..v-1`` were the last suppliers of an unmet
+        vertex.  The twin and scattered cuts never read the target size.
         Whenever a cut depends on the target size (the counting bound, too
         many vertices that must join, or a child that would be extended if
-        more picks were left), ``size_cut`` is set for ``run``'s stop test.
+        more picks were left), ``size_cut`` is set for ``run``'s stop test;
+        the node count and that flag stay in locals until the loop ends.
         """
-        hi_in = self.hi_in
         adj = self.adj
-        levels_len = self.levels_len
         dead_before = self.dead_before
         twin_before = self.twin_before
         near = self.near
         member_needs_lo = self.member_needs_lo
-        at_leaf = remaining == 1
+        levels_len = self.levels_len
+        level0 = levels[0]
+        hi_in = self.hi_in
+        if hi_in is not None:
+            in_at = levels[hi_in]
+            in_below = levels[hi_in - 1] if hi_in else self.full
+        hi_out = self.hi_out
+        must = 0  # vertices over the off-set bound, which must join the set
+        if hi_out is not None:
+            out_at = levels[hi_out]
+            out_below = levels[hi_out - 1] if hi_out else self.full
+            must_dies = hi_in is not None and hi_in <= hi_out  # joining breaks hi_in
+        left = remaining - 1
+        unmet_cap = left * self.gain
+        child_top = self.n - (left if exact else 1)
+        nodes = 0
+        size_cut = False
         for v in range(start, cap + 1):
             if unmet & dead_before[v]:
                 break  # skipping start..v-1 left an unmet vertex no supplier
             if twin_before is not None and twin_before[v] & ~mask:
                 continue  # v's lower twin was skipped: swapping them gives a smaller set
-            if hi_in is not None and (levels[hi_in] >> v) & 1:
-                continue  # joining would push v over its member bound
+            bit = 1 << v
+            new_mask = mask | bit
+            av = adj[v]
+            if hi_in is not None:
+                child_in = in_at | av & in_below
+                if new_mask & child_in:
+                    continue  # a member, v or another, is over its member bound
+            child0 = level0 | av
+            if near is not None:
+                # settled lonely members: no in-set neighbor, none to come
+                lonely = new_mask & ~child0 & dead_before[v + 1]
+                while lonely:
+                    low = lonely & -lonely
+                    if near[low.bit_length() - 1] & new_mask:
+                        break
+                    lonely ^= low
+                if lonely:
+                    continue  # that member is too near another: no extension is scattered
+            # a new member meets its own lower bound unless it needs an in-set neighbor
+            new_unmet = unmet & ~(child0 if member_needs_lo else child0 | bit)
+            if hi_out is not None:
+                must = (out_at | av & out_below) & ~new_mask
+            if not left:
+                nodes += 1
+                size_cut = True  # a larger size would extend this child
+                if not (new_unmet or must) and on_solution(new_mask):
+                    self.nodes += nodes
+                    return True
+                continue
+            if not (exact or new_unmet or must) and on_solution(new_mask):
+                self.nodes += nodes
+                return True
+            nodes += 1
+            if new_unmet.bit_count() > unmet_cap:
+                size_cut = True
+                continue
+            child_cap = child_top
+            if must:
+                low = must & -must
+                if low < bit or must_dies:
+                    continue  # one must join but was skipped, or would break its bound
+                if hi_in is not None and must & child_in:
+                    continue
+                if must.bit_count() > left:
+                    size_cut = True
+                    continue
+                child_cap = min(child_cap, low.bit_length() - 1)
             new_levels = levels.copy()
-            carry = adj[v]
-            i = 0
+            new_levels[0] = child0
+            carry = av & level0
+            i = 1
             while carry and i < levels_len:
                 prev = new_levels[i]
                 new_levels[i] = prev | carry
                 carry &= prev
                 i += 1
-            new_mask = mask | (1 << v)
-            if hi_in is not None and (new_mask & new_levels[hi_in]):
-                continue
-            if near is not None:
-                # settled lonely members: no in-set neighbor, none to come
-                lonely = new_mask & ~new_levels[0] & dead_before[v + 1]
-                while lonely:
-                    bit = lonely & -lonely
-                    if near[bit.bit_length() - 1] & new_mask:
-                        break
-                    lonely ^= bit
-                if lonely:
-                    continue  # that member is too near another: no extension is scattered
-            # a new member meets its own lower bound unless it needs an in-set neighbor
-            new_unmet = unmet & ~(new_levels[0] if member_needs_lo else new_levels[0] | 1 << v)
-            if at_leaf:
-                self.nodes += 1
-                self.size_cut = True  # a larger size would extend this child
-            if (at_leaf or not exact) and self._valid_now(new_mask, new_unmet, new_levels):
-                if on_solution(new_mask):
-                    return True
-            if at_leaf:
-                continue
-            child_cap = self._enter(v + 1, remaining - 1, exact, new_mask, new_unmet, new_levels)
-            if child_cap >= 0 and self._rec(v + 1, remaining - 1, new_mask, new_unmet,
-                                            new_levels, child_cap, exact, on_solution):
+            if self._rec(v + 1, left, new_mask, new_unmet, new_levels, child_cap, exact,
+                         on_solution):
+                self.nodes += nodes
                 return True
+        self.nodes += nodes
+        if size_cut:
+            self.size_cut = True
         return False
 
 

@@ -280,6 +280,22 @@ class TestReduceAndDecide:
                            "--meta", "/dev/null")
         assert code == 0 and out == ""
 
+    @pytest.mark.parametrize("command", ("reduce", "product"))
+    def test_bad_second_path_writes_nothing(self, tmp_path, capsys, c5_file, c4_file,
+                                            command):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"universe": 3, "sets": [[0, 1, 2]]}))
+        argv = ((command, str(inst), "--meta") if command == "reduce"
+                else (command, c5_file, c4_file, "--layer-map"))
+        # a directory cannot be opened for writing
+        code, out, err = run(capsys, *argv, str(tmp_path))
+        assert (code, out) == (1, "") and "error:" in err
+        target = tmp_path / "old.el"
+        target.write_text("old contents\n")
+        code, out, _ = run(capsys, *argv, str(tmp_path), "-o", str(target))
+        assert (code, out) == (1, "")
+        assert target.read_text() == "old contents\n"
+
     def test_decide_both_modes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps({"universe": 6, "sets": [[0, 1, 2], [3, 4, 5]]}))

@@ -27,9 +27,11 @@ from domkit.domsets import (
     independent_one_k,
     j_dependent_one_k,
     j_dependent_total_one_k,
+    near_masks,
     one_k,
     open_efficient,
     satisfies,
+    scattered_test,
     total_dominating,
     total_one_k,
 )
@@ -41,7 +43,7 @@ from domkit.graphs import (
     lex_product,
     mask_to_ids,
 )
-from domkit import solvers
+from domkit import lex_theory, solvers
 from domkit.npc import X3CInstance, build_gadget, decide_x3c
 from domkit.solvers import (
     GraphTooLargeError,
@@ -427,6 +429,81 @@ class TestTwinCut:
         r = min_set(product, total_dominating())
         assert (r.gamma, r.witness) == (8, (0, 1, 4, 6, 12, 14, 20, 22))
         assert r.nodes_explored <= 487
+
+
+class TestNestedLevels:
+    """A child's level i is derived as ``levels[i] | adj[v] & levels[i - 1]``.
+    On kinds whose levels run three or more deep, every mode must still
+    agree with a subset scan, so a derivation that drops ``levels[i - 1]``
+    (and so counts one new neighbor as several) fails here."""
+
+    KINDS = (j_dependent_one_k(2, 3), total_one_k(3), one_k(3), j_dependent_total_one_k(2, 3))
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(0x1E7E15)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(7, 10), rng.choice((0.5, 0.65, 0.8)))
+            if max(map(int.bit_count, g.neighbor_masks)) < 4:
+                continue
+            for kind in TestNestedLevels.KINDS:
+                assert _Search(g, kind).levels_len >= 3
+                yield rng, g, kind, brute_all(g, kind)
+
+    def test_min_set_and_exists_set(self):
+        cases = 0
+        for rng, g, kind, hits in self._cases():
+            gamma, witness = (len(hits[0]), hits[0]) if hits else (None, None)
+            r = min_set(g, kind)
+            assert (r.gamma, r.witness) == (gamma, witness), (g, kind)
+            limit = rng.randint(0, g.n) if gamma is None else rng.choice((gamma - 1, gamma))
+            within = gamma is not None and gamma <= limit
+            assert exists_set(g, kind, limit=limit) == within, (g, kind, limit)
+            assert exists_set(g, kind) == bool(hits), (g, kind)
+            cases += 1
+        assert cases >= 100
+
+    def test_enumerate_masks_with_and_without_near(self):
+        for _, g, kind, hits in self._cases():
+            every, listed = [], []
+            enumerate_masks(g, kind, 0, g.n, lambda m: (every.append(m), False)[1])
+            assert [mask_to_ids(m) for m in every] == hits, (g, kind)
+            near = near_masks(g.neighbor_masks)
+            enumerate_masks(g, kind, 0, g.n, lambda m: (listed.append(m), False)[1], near=near)
+            scattered = scattered_test(g, near)
+            assert [m for m in listed if scattered(m)] == [m for m in every if scattered(m)]
+            assert set(listed) <= set(every)
+
+
+class TestPinnedSearchWork:
+    """Exact node counts of one named search per mode.  A change to the
+    pruning updates these numbers on purpose; a change that only makes each
+    node cheaper must leave them as they are."""
+
+    C5_C6 = lex_product(build_standard("cycle", 5), build_standard("cycle", 6))[0]
+
+    def test_exact_deepening(self):
+        r = min_set(self.C5_C6, one_k(2))
+        assert (r.gamma, r.nodes_explored) == (30, 23922)
+
+    def test_nonexistence_proof(self):
+        r = min_set(self.C5_C6, total_one_k(2))
+        assert (r.exists, r.nodes_explored) == (False, 9194)
+
+    def test_exists_set_sweep(self):
+        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 1102),
+                                   (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 168)):
+            graph, meta = build_gadget(X3CInstance(6, sets))
+            search = _Search(graph, total_one_k(2))
+            assert search.run(0, meta.budget, lambda mask: True, any_size=True) is found
+            assert search.nodes == nodes
+
+    def test_scattered_scan(self, monkeypatch):
+        nodes = []
+        monkeypatch.setattr(lex_theory, "enumerate_masks",
+                            lambda *args, **kwargs: nodes.append(enumerate_masks(*args, **kwargs)))
+        assert lex_theory.min_sd_size_plus_alpha(build_standard("path", 20), 1, 2)[0] == 10
+        assert nodes == [1010]
 
 
 class TestEnumerateSets:
