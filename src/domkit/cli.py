@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import ExitStack
 
@@ -113,9 +114,16 @@ def _emit(payload: dict, pretty: bool) -> None:
 
 def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write each text to its path, or to stdout where the path is empty.  All
-    paths are opened first, so one that fails to open leaves every output unwritten."""
+    paths are opened first, so one that fails to open leaves every output
+    unwritten and removes the files the earlier opens created."""
     with ExitStack() as stack:
-        files = [path and stack.enter_context(open_text(path)) for path, _ in outputs]
+        missing = [path for path, _ in outputs if path and not os.path.lexists(path)]
+        try:
+            files = [path and stack.enter_context(open_text(path)) for path, _ in outputs]
+        except OSError:
+            for path in filter(os.path.lexists, missing):  # skips the unopened ones
+                os.unlink(path)
+            raise
         for fh, (_, text) in zip(files, outputs):
             if fh:
                 fill_text(fh, text)

@@ -101,64 +101,52 @@ class DiscrepancyReport(_Record):
 _SD_SCAN_CAP = 20  # subset scans are only ever run on factor graphs
 
 
-def _check_sd_scan_size(graph: Graph) -> None:
+def _sd_scan(graph: Graph, j: int, k: int, weight: int) -> tuple[int, int] | None:
+    """Minimum of |S| + (weight - 1) * alpha(S) over scattered j-dependent
+    [1,k]-sets S, where ``alpha`` counts members with no in-set neighbor.
+
+    Returns the value and the mask of the first set reaching it, or None when
+    no such set exists.  The listing runs with the scattered cut, which skips
+    only sets that no extension makes scattered, whatever their size, so the
+    answer is that of the full scan.  Sizes only grow along the listing, so it
+    stops at the first set of size >= the best value, and at a scattered set
+    whose value is its size; with weight 1 that is the first scattered set.
+    """
     if graph.n > _SD_SCAN_CAP:
         raise GraphTooLargeError(
             f"scattered-set scan needs n <= {_SD_SCAN_CAP}, got {graph.n}"
         )
-
-
-def first_sd_set(graph: Graph, j: int, k: int) -> frozenset[int] | None:
-    """Smallest (then lexicographically first) scattered j-dependent [1,k]-set.
-
-    The scan lists j-dependent [1,k]-sets with the scattered cut, which skips
-    only sets that no extension makes scattered, whatever their size; so the
-    first set to pass the final test is the first scattered set of the full
-    scan.
-    """
-    _check_sd_scan_size(graph)
-    near = near_masks(graph.neighbor_masks)
-    scattered = scattered_test(graph, near)
-    hit: list[int] = []
-
-    def grab(s: int) -> bool:
-        if scattered(s):
-            hit.append(s)
-            return True
-        return False
-
-    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, grab, near=near)
-    return frozenset(mask_to_ids(hit[0])) if hit else None
-
-
-def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset[int]] | None:
-    """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S.
-
-    ``alpha`` counts members with no in-set neighbor.  Returns the value and
-    the first set achieving it, or None when no such set exists.  As in
-    ``first_sd_set``, the scattered cut skips only sets that no extension
-    makes scattered, so the minimum and its first set are those of the full
-    scan, and the stop at the first set of size >= the best value still
-    fires only on sets that cannot improve it.
-    """
-    _check_sd_scan_size(graph)
-    near = near_masks(graph.neighbor_masks)
-    scattered = scattered_test(graph, near)
     adj = graph.neighbor_masks
+    near = near_masks(adj)
+    scattered = scattered_test(graph, near)
     best: list[int] = []  # [value, mask] of the first set reaching the minimum
 
     def consider(s: int) -> bool:
         size = s.bit_count()
         if best and size >= best[0]:
-            return True  # |S| + alpha >= |S|, so this and larger sets cannot improve
-        if scattered(s):
-            value = size + sum(1 for v in mask_to_ids(s) if not adj[v] & s)
-            if not best or value < best[0]:
-                best[:] = [value, s]
-        return False
+            return True
+        if not scattered(s):
+            return False
+        value = size + (weight - 1) * sum(1 for v in mask_to_ids(s) if not adj[v] & s)
+        if not best or value < best[0]:
+            best[:] = [value, s]
+        return value == size
 
     enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, consider, near=near)
-    return (best[0], frozenset(mask_to_ids(best[1]))) if best else None
+    return (best[0], best[1]) if best else None
+
+
+def first_sd_set(graph: Graph, j: int, k: int) -> frozenset[int] | None:
+    """Smallest (then lexicographically first) scattered j-dependent [1,k]-set."""
+    found = _sd_scan(graph, j, k, 1)
+    return frozenset(mask_to_ids(found[1])) if found else None
+
+
+def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset[int]] | None:
+    """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S, with the
+    first set achieving it, or None when no such set exists."""
+    found = _sd_scan(graph, j, k, 2)
+    return (found[0], frozenset(mask_to_ids(found[1]))) if found else None
 
 
 # -- shared helpers -----------------------------------------------------------
@@ -379,7 +367,7 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
     # and the full vertex set, appended last, wins only when none applies.
     full = (range(g.n), range(h.n))
     candidates: list[tuple[int, str, tuple]] = []
-    r_h = min_set(h, one_k(2))
+    r_h = min_set(h, one_k(2), limit=2)  # only gamma 1 or 2 is read
     pair_h = r_h.witness
     iso = h.isolated_vertices()
     if iso:
@@ -438,8 +426,8 @@ def _total_one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
 def _independent_cases(g: Graph, h: Graph, target: SetKind, k: int) -> ProductAnalysis:
     candidates: list[tuple[int, str, tuple]] = []
     i1k_kind = independent_one_k(k)
-    r_h = min_set(h, i1k_kind)
-    if r_h.exists and r_h.gamma <= k:
+    r_h = min_set(h, i1k_kind, limit=k)
+    if r_h.exists:
         r_eff = min_set(g, efficient())
         if r_eff.exists:
             candidates.append((r_eff.gamma * r_h.gamma, "case_a_efficient",

@@ -295,6 +295,10 @@ class TestReduceAndDecide:
         code, out, _ = run(capsys, *argv, str(tmp_path), "-o", str(target))
         assert (code, out) == (1, "")
         assert target.read_text() == "old contents\n"
+        fresh = tmp_path / "new.el"
+        code, out, _ = run(capsys, *argv, str(tmp_path), "-o", str(fresh))
+        assert (code, out) == (1, "")
+        assert not fresh.exists()
 
     def test_decide_both_modes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

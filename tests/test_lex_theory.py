@@ -396,6 +396,36 @@ class TestRareSubcases:
         r = verify_membership_against_oracle(g, h, "total", 2)
         assert r.agree and r.oracle is True
 
+    # found by a random search; the product with K2 has 22 vertices
+    G11 = Graph(11, [(0, 2), (1, 9), (2, 9), (2, 10), (3, 4), (3, 6), (3, 9), (5, 8),
+                     (6, 7), (6, 9), (8, 9)])
+
+    def test_characterize_total_condition_4_second_branch(self):
+        # gamma_t[1,4](K2) = 2 <= floor(4/2), and G11 has no efficient or
+        # scattered 3-dependent set, so condition 4 decides on its second
+        # branch.  Membership is right, but the layer plan on {1,2,3,5,6}
+        # fails: non-member 9 hears 2 + 2 + 1 + 1 = 6 > 4, so no witness.
+        a = characterize_total(self.G11, P(2), k=4)
+        assert (a.membership, a.matched_condition, a.witness, a.layer_profile) == (
+            True, 4, None, None)
+        assert min_set(self.G11, j_dependent_one_k(3, 4)).witness == (1, 2, 3, 5, 6)
+        r = verify_membership_against_oracle(self.G11, P(2), "total", 4)
+        assert r.agree and r.oracle is True
+
+    def test_characterize_total_k3_misses_a_weighted_set(self):
+        # non-members 3 and 6 hear 2 + 1 = 3 from a lonely doubled layer and a
+        # single one: the weighted rule of ROADMAP item 2 with c = 2
+        assert not characterize_total(self.G11, P(2), k=3).membership
+        product, idx = lex_product(self.G11, P(2))
+        r = min_set(product, total_one_k(3))
+        assert r.gamma == 7 and satisfies(product, set(r.witness), total_one_k(3))
+        assert idx.layer_profile(r.witness) == (0, 0, 1, 0, 2, 0, 0, 2, 1, 1, 0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="condition 4 needs the weighted constraint of ROADMAP item 2")
+    def test_characterize_total_k3_agrees(self):
+        assert verify_membership_against_oracle(self.G11, P(2), "total", 3).agree
+
     def test_one_2_case1b(self):
         g = Graph(9, [(0, 2), (0, 3), (1, 2), (1, 6), (1, 8), (2, 4), (2, 6), (2, 7),
                       (3, 4), (4, 6), (5, 6), (6, 7), (7, 8)])

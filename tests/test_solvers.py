@@ -503,7 +503,7 @@ class TestPinnedSearchWork:
         monkeypatch.setattr(lex_theory, "enumerate_masks",
                             lambda *args, **kwargs: nodes.append(enumerate_masks(*args, **kwargs)))
         assert lex_theory.min_sd_size_plus_alpha(build_standard("path", 20), 1, 2)[0] == 10
-        assert nodes == [1010]
+        assert nodes == [1003]
 
 
 class TestEnumerateSets:
