@@ -32,7 +32,7 @@ from .domsets import (
     total_one_k,
 )
 from .graphs import Graph, ProductIndex, is_connected, lex_product, mask_to_ids
-from .solvers import GraphTooLargeError, enumerate_masks, exists_set, min_set
+from .solvers import GraphTooLargeError, check_cap, enumerate_masks, exists_set, min_set
 
 # product kind -> the set kind its predictions are measured against, given k
 _PRODUCT_KINDS = {
@@ -493,11 +493,16 @@ def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
     """Compare a product-gamma prediction with the explicit-product oracle.
 
     Never asserts: the report carries both values, both witnesses, and the
-    agreement flag for the caller to judge.
+    agreement flag for the caller to judge.  An over-cap product is refused
+    before the prediction runs.  The oracle takes the predicted value as its
+    ``guess`` (n + 1 when no set is predicted), which changes its search
+    effort but never its answer.
     """
+    check_cap(g.n * h.n, max_n, force)
     analysis = product_gamma(g, h, kind, k)
     product, idx = _product_of(g, h)
-    r = min_set(product, oracle_kind(kind, k), max_n=max_n, force=force)
+    guess = product.n + 1 if analysis.predicted_gamma is None else analysis.predicted_gamma
+    r = min_set(product, oracle_kind(kind, k), guess=guess, max_n=max_n, force=force)
     agree = analysis.predicted_gamma == r.gamma and analysis.membership == r.exists
     profile = analysis.layer_profile
     if profile is None and r.witness is not None:
@@ -518,7 +523,9 @@ def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
 def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2, *,
                                      max_n: int | None = None,
                                      force: bool = False) -> DiscrepancyReport:
-    """Compare a membership characterization with oracle existence on the product."""
+    """Compare a membership characterization with oracle existence on the
+    product; an over-cap product is refused before the characterization runs."""
+    check_cap(g.n * h.n, max_n, force)
     if which == "total":
         analysis = characterize_total(g, h, k)
         target = total_one_k(k)

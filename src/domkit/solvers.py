@@ -106,10 +106,12 @@ def resolve_cap(max_n: int | None = None) -> int:
     return max_n
 
 
-def _check_cap(graph: Graph, max_n: int | None, force: bool) -> None:
+def check_cap(n: int, max_n: int | None = None, force: bool = False) -> None:
+    """Raise ``GraphTooLargeError`` when ``n`` vertices exceed the solver cap
+    (``resolve_cap(max_n)``), unless ``force``; the cap is validated either way."""
     cap = resolve_cap(max_n)
     if not force:
-        check_vertex_cap(graph.n, cap)
+        check_vertex_cap(n, cap)
 
 
 def _check_limit(limit: int | None) -> None:
@@ -396,7 +398,7 @@ class _Search:
         return False
 
 
-def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
+def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int = 0,
             max_n: int | None = None, force: bool = False) -> SolveResult:
     """Exact minimum set of the given kind, or nonexistence.
 
@@ -404,9 +406,19 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     smallest witness at the first feasible size.  With ``limit`` the search
     stops after that cardinality and reports ``exists=False`` when nothing
     was found within it; a negative ``limit`` raises ``ValueError``.
+
+    A ``guess`` g >= 1 is an expected minimum size.  One variable-size sweep
+    (``exists_set``'s) first asks whether any set of fewer than g members
+    exists: if none does, deepening starts at size g, so the sizes below g
+    cost one pass instead of one each; if one does, deepening runs from
+    size 0 as without a guess.  A guess above n makes the sweep settle
+    nonexistence alone.  The answer and witness never depend on the guess,
+    only ``nodes_explored`` does; a negative guess raises ``ValueError``.
     """
     _check_limit(limit)
-    _check_cap(graph, max_n, force)
+    if guess < 0:
+        raise ValueError(f"the guess must be non-negative, got {guess}")
+    check_cap(graph.n, max_n, force)
     search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
     found: list[int] = []
@@ -415,7 +427,9 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
         found.append(mask)
         return True
 
-    search.run(0, top, grab)
+    if guess and search.run(0, min(guess - 1, top), lambda mask: True, any_size=True):
+        guess = 0  # a set smaller than the guess exists: deepen from the empty set
+    search.run(guess, top, grab)
     if found:
         witness = mask_to_ids(found[0])
         return SolveResult(kind, True, len(witness), witness, search.nodes)
@@ -431,7 +445,7 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
     ``limit`` raises ``ValueError``.
     """
     _check_limit(limit)
-    _check_cap(graph, max_n, force)
+    check_cap(graph.n, max_n, force)
     search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
     return search.run(0, top, lambda mask: True, any_size=True)
@@ -452,7 +466,7 @@ def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
     """
     if min_size < 0:
         raise ValueError("size must be non-negative")
-    _check_cap(graph, max_n, force)
+    check_cap(graph.n, max_n, force)
     search = _Search(graph, kind, near=near)
     search.run(min_size, max_size, on_solution)
     return search.nodes

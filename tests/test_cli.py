@@ -216,6 +216,15 @@ class TestTheorem:
         assert code == 0
         assert json.loads(out)["prediction"] is False
 
+    def test_over_cap_product_exits_3(self, tmp_path, capsys, c5_file, monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        p7 = tmp_path / "p7.el"
+        p7.write_text(format_edge_list(build_standard("path", 7)))
+        for argv in (("product-gamma", str(p7), c5_file, "--kind", "one2"),
+                     ("total", str(p7), c5_file)):
+            code, out, err = run(capsys, "theorem", *argv, "--compare-oracle")
+            assert code == 3 and out == "" and "35 vertices, cap is 32" in err
+
     def test_strict_flag_is_gone(self, capsys, c5_file, c4_file):
         # it never changed anything: a disagreement exits 2 with or without it
         code, out, err = run(capsys, "theorem", "total", c5_file, c4_file,

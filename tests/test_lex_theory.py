@@ -40,7 +40,7 @@ from domkit.lex_theory import (
     verify_against_oracle,
     verify_membership_against_oracle,
 )
-from domkit.solvers import enumerate_masks, exists_set, min_set
+from domkit.solvers import GraphTooLargeError, enumerate_masks, exists_set, min_set
 
 
 def P(n):
@@ -577,6 +577,23 @@ class TestVerifyAgainstOracle:
         g2, h2 = P(4), P(4)
         verify_against_oracle(g2, h2, "one_2")
         assert len(built) == 2 and built[1][0] is g2 and built[1][1] is h2
+
+    def test_over_cap_product_is_refused_before_the_prediction(self, monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        calls = []
+        solve = lex_theory.min_set
+        monkeypatch.setattr(lex_theory, "min_set",
+                            lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+        g, h = P(17), P(2)  # 34 product vertices, above the default cap of 32
+        for check in (lambda: verify_against_oracle(g, h, "one_2"),
+                      lambda: verify_membership_against_oracle(g, h, "total"),
+                      lambda: verify_membership_against_oracle(g, h, "independent"),
+                      lambda: verify_against_oracle(P(3), P(2), "plain", max_n=5)):
+            with pytest.raises(GraphTooLargeError):
+                check()
+        assert calls == []
+        assert verify_against_oracle(P(3), P(2), "plain", max_n=5, force=True).agree
+        assert calls
 
 
 class TestLayerStructure:

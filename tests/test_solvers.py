@@ -186,6 +186,33 @@ class TestPrunedSearchAgainstBruteForce:
                     assert seen == [h for h in hits if len(h) == size], (g, kind, size)
 
 
+class TestGuess:
+    """``min_set``'s guess changes only how hard the search works: a guess
+    that is too low, exact, too high or past n gives the answer and witness
+    of no guess."""
+
+    def test_every_guess_matches_no_guess(self):
+        rng = random.Random(0x6E55)
+        kinds = _kinds_k_up_to_3()
+        assert {kind.base for kind in kinds} == set(BASES)
+        for n in range(12):
+            for p in (0.15, 0.3, 0.45, 0.6, 0.8):
+                g = random_graph(rng, n, p)
+                for kind in kinds:
+                    limit = rng.choice((None, rng.randint(0, n)))
+                    r = min_set(g, kind, limit=limit)
+                    assert min_set(g, kind, limit=limit, guess=0) == r
+                    for guess in range(1, n + 3):
+                        q = min_set(g, kind, limit=limit, guess=guess)
+                        assert (q.exists, q.gamma, q.witness) == (r.exists, r.gamma, r.witness), \
+                            (g, kind, limit, guess)
+
+    def test_negative_guess_rejected(self):
+        for g in (Graph(0), build_standard("path", 5)):
+            with pytest.raises(ValueError, match="guess must be non-negative"):
+                min_set(g, dominating(), guess=-1)
+
+
 class TestSearchEffort:
     def test_counting_bound_keeps_long_paths_and_cycles_shallow(self):
         # 870,846 / 1,019,269 / 961,737 nodes before the counting bound
@@ -489,6 +516,16 @@ class TestPinnedSearchWork:
     def test_nonexistence_proof(self):
         r = min_set(self.C5_C6, total_one_k(2))
         assert (r.exists, r.nodes_explored) == (False, 9194)
+
+    def test_guessed_deepening(self):
+        # the sweep proves sizes 0..29 empty in one pass, then size 30 is deepened
+        r = min_set(self.C5_C6, one_k(2), guess=30)
+        assert (r.gamma, r.nodes_explored) == (30, 8265)
+
+    def test_guessed_nonexistence_proof(self):
+        # a guess past n: the one sweep settles nonexistence
+        r = min_set(self.C5_C6, total_one_k(2), guess=31)
+        assert (r.exists, r.nodes_explored) == (False, 6677)
 
     def test_exists_set_sweep(self):
         for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 1102),
