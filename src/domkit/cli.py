@@ -181,8 +181,9 @@ def _cmd_closed_form(args) -> int:
 def _cmd_theorem(args) -> int:
     kind = PRODUCT_KIND_TOKENS[args.kind] if args.which == "product-gamma" else None
     _or_usage_error(check_k, args.k, kind)
-    g = load_graph(args.g)
-    h = load_graph(args.h)
+    cap = None if args.force else resolve_cap()
+    g = load_graph(args.g, max_n=cap)
+    h = load_graph(args.h, max_n=cap)
     if kind is not None:
         if args.compare_oracle:
             result = verify_against_oracle(g, h, kind, args.k, force=args.force)

@@ -3,19 +3,18 @@
 Every evaluator answers questions about the product ``G o H`` by solving only
 on the factors: total/independent membership via structural conditions, and
 minimum sizes via the case analysis over layer shapes.  Each case returns a
-layer plan (G-vertices with the H-vertices their layers carry), and
-``_finish`` is the only place a prediction turns a plan into product ids and
-builds the explicit product, solely to validate that witness.  Predictions
-can be cross-checked against the explicit-product oracle, with disagreements
-returned as data rather than raised, because a wrong prediction is a
-finding, not a crash.
+layer plan (G-vertices with the H-vertices their layers carry), which
+``_finish`` checks from per-layer counts and turns into product ids; no
+prediction builds the product.  Predictions can be cross-checked against the
+explicit-product oracle, with disagreements returned as data rather than
+raised, because a wrong prediction is a finding, not a crash.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Collection
+from typing import Collection, Iterator
 
 from .domsets import (
     SetKind,
@@ -26,12 +25,11 @@ from .domsets import (
     j_dependent_total_one_k,
     near_masks,
     one_k,
-    satisfies,
     scattered_test,
     total_dominating,
     total_one_k,
 )
-from .graphs import Graph, ProductIndex, is_connected, lex_product, mask_to_ids
+from .graphs import Graph, is_connected, lex_product, mask_to_ids
 from .solvers import GraphTooLargeError, check_cap, enumerate_masks, exists_set, min_set
 
 # product kind -> the set kind its predictions are measured against, given k
@@ -70,8 +68,9 @@ class ProductAnalysis(_Record):
     """Outcome of a product-theorem evaluation.
 
     ``matched_condition`` names the condition or subcase that decided the
-    answer; a present witness always validates on the explicit product, and
-    ``layer_profile`` lists its per-layer counts |D ∩ H^g|.
+    answer; a present witness meets every bound of the set kind on G o H
+    (checked from layer counts), and ``layer_profile`` lists its per-layer
+    counts |D ∩ H^g|.
     """
 
     membership: bool
@@ -167,49 +166,45 @@ def check_k(k: int, kind: str | None = None) -> None:
         raise ValueError(f"product theorems require k >= 2, got {k}")
 
 
-def _layers(idx: ProductIndex, g: Graph, members: Collection[int],
-            shared: Collection[int], lonely: Collection[int] = ()) -> frozenset[int]:
-    """Product ids of a layer plan: every G-vertex in ``members`` carries the
-    H-vertices ``shared`` in its layer, and members with no in-set
-    G-neighbor also carry ``lonely``."""
+def _layer_masks(g: Graph, h: Graph, kind: SetKind, members: Collection[int],
+                 shared: Collection[int], lonely: Collection[int] = ()) -> list[int] | None:
+    """Per-layer H-masks D_g of a layer plan, or None when the plan breaks a
+    bound of ``kind`` on G o H.
+
+    Every G-vertex in ``members`` carries the H-vertices ``shared`` in its
+    layer, and members with no in-set G-neighbor also carry ``lonely``.
+    Vertex (g, x) hears s_g + |N_H(x) ∩ D_g| members, where s_g sums |D_g'|
+    over the G-neighbors g' of g, so the check never builds the product.
+    """
+    adj_g, adj_h = g.neighbor_masks, h.neighbor_masks
     inside = sum(1 << v for v in members)
-    adj = g.neighbor_masks
-    alone = (*shared, *lonely)
-    return frozenset(idx.id_of(v, u) for v in members
-                     for u in (shared if adj[v] & inside else alone))
-
-
-_last_product: tuple = (None, None, None)
-
-
-def _product_of(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
-    """``lex_product(g, h)``, reused while the factors are the very objects of
-    the last call: keyed on identity, never equality, and the entry keeps both
-    factors alive so their ids cannot pass to other graphs."""
-    global _last_product
-    last_g, last_h, built = _last_product
-    if g is not last_g or h is not last_h:
-        built = lex_product(g, h)
-        _last_product = (g, h, built)
-    return built
+    paired = sum(1 << u for u in shared)
+    alone = paired | sum(1 << u for u in lonely)
+    layers = [0] * g.n
+    for v in members:
+        layers[v] = paired if adj_g[v] & inside else alone
+    sizes = [d.bit_count() for d in layers]
+    lo_in, hi_in, lo_out, hi_out = kind.bounds()
+    for v, d in enumerate(layers):
+        heard = sum(sizes[w] for w in mask_to_ids(adj_g[v]))
+        for x, nbrs in enumerate(adj_h):
+            sn = heard + (nbrs & d).bit_count()
+            lo, hi = (lo_in, hi_in) if d >> x & 1 else (lo_out, hi_out)
+            if sn < lo or (hi is not None and sn > hi):
+                return None
+    return layers
 
 
 def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: bool,
             matched: int | str | None, gamma: int | None) -> ProductAnalysis:
-    """Build the planned witness and validate it on the explicit product.
-
-    This is the only place a prediction builds the product.  A construction
-    that fails validation is reported, not repaired: the predicted membership
-    and value stand and the witness is None, so no search ever runs on the
-    explicit product here.
-    """
-    witness = profile = None
-    if plan is not None:
-        product, idx = _product_of(g, h)
-        candidate = _layers(idx, g, *plan)
-        if satisfies(product, candidate, kind):
-            witness = tuple(sorted(candidate))
-            profile = idx.layer_profile(witness)
+    """The planned witness as product ids ``g * n_h + x``, if it passes the
+    layer-count check.  A plan that fails is reported, not repaired: the
+    predicted membership and value stand and the witness is None."""
+    layers = None if plan is None else _layer_masks(g, h, kind, *plan)
+    if layers is None:
+        return ProductAnalysis(membership, matched, gamma, None, None)
+    witness = tuple(v * h.n + x for v, d in enumerate(layers) for x in mask_to_ids(d))
+    profile = tuple(d.bit_count() for d in layers)
     return ProductAnalysis(membership, matched, gamma, witness, profile)
 
 
@@ -261,12 +256,32 @@ def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     return ProductAnalysis(False, None, None, None, None)
 
 
+def _independent_plans(g: Graph, h: Graph, k: int) -> Iterator[tuple[int, int, tuple]]:
+    """Plans (condition, size, plan) of an independent [1,k]-set of G o H, solved
+    lazily.  Each member layer carries the first minimum independent
+    [1,k]-set D of H: (2) over an efficient dominating set of G; (3) when
+    |D| <= floor(k/2), over an independent [1, floor(k/|D|)]-set of G, as a
+    non-member layer hears |D| per member G-neighbor."""
+    # as in characterize_total, one solve serves both H thresholds
+    r_h = min_set(h, independent_one_k(k), limit=k)
+    if not r_h.exists:
+        return
+    r_eff = min_set(g, efficient())
+    if r_eff.exists:
+        yield 2, r_eff.gamma * r_h.gamma, (r_eff.witness, r_h.witness)
+    if r_h.gamma <= k // 2:
+        r_g = min_set(g, independent_one_k(k // r_h.gamma))
+        if r_g.exists:
+            yield 3, r_g.gamma * r_h.gamma, (r_g.witness, r_h.witness)
+
+
 def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     """Decide whether G o H has an independent [1,k]-set, from factor structure.
 
-    Conditions in order: (1) trivial G with H admitting one; (2) efficient
-    dominating set in G with an independent [1,k]-set of size <= k in H;
-    (3) an independent [1,k]-set in G with the H threshold floor(k/2).
+    Conditions in order: (1) trivial G with H admitting one; then, with an
+    independent [1,k]-set D of H of size <= k in every member layer, (2) an
+    efficient dominating set of G, or (3) an independent
+    [1, floor(k/|D|)]-set of G when |D| <= floor(k/2).
     """
     check_k(k)
     _require_connected(g)
@@ -277,16 +292,8 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
         plan = ((0,), r.witness) if r.exists else None
         return _finish(g, h, i1k_kind, plan, r.exists, 1 if r.exists else None, None)
 
-    # as in characterize_total, one solve serves both H thresholds
-    r_h = min_set(h, i1k_kind, limit=k)
-    if r_h.exists:
-        r_eff = min_set(g, efficient())
-        if r_eff.exists:
-            return _finish(g, h, i1k_kind, (r_eff.witness, r_h.witness), True, 2, None)
-    if r_h.exists and r_h.gamma <= k // 2:
-        r_g = min_set(g, i1k_kind)
-        if r_g.exists:
-            return _finish(g, h, i1k_kind, (r_g.witness, r_h.witness), True, 3, None)
+    for condition, _, plan in _independent_plans(g, h, k):
+        return _finish(g, h, i1k_kind, plan, True, condition, None)
     return ProductAnalysis(False, None, None, None, None)
 
 
@@ -424,19 +431,9 @@ def _total_one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
 
 
 def _independent_cases(g: Graph, h: Graph, target: SetKind, k: int) -> ProductAnalysis:
-    candidates: list[tuple[int, str, tuple]] = []
-    i1k_kind = independent_one_k(k)
-    r_h = min_set(h, i1k_kind, limit=k)
-    if r_h.exists:
-        r_eff = min_set(g, efficient())
-        if r_eff.exists:
-            candidates.append((r_eff.gamma * r_h.gamma, "case_a_efficient",
-                               (r_eff.witness, r_h.witness)))
-    if r_h.exists and r_h.gamma <= k // 2:
-        r_g = min_set(g, i1k_kind)
-        if r_g.exists:
-            candidates.append((r_g.gamma * r_h.gamma, "case_b_independent",
-                               (r_g.witness, r_h.witness)))
+    labels = {2: "case_a_efficient", 3: "case_b_independent"}
+    candidates = [(value, labels[condition], plan)
+                  for condition, value, plan in _independent_plans(g, h, k)]
     return _pick(g, h, target, candidates, "case_c_nonexistent")
 
 
@@ -500,7 +497,7 @@ def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
     """
     check_cap(g.n * h.n, max_n, force)
     analysis = product_gamma(g, h, kind, k)
-    product, idx = _product_of(g, h)
+    product, idx = lex_product(g, h)
     guess = product.n + 1 if analysis.predicted_gamma is None else analysis.predicted_gamma
     r = min_set(product, oracle_kind(kind, k), guess=guess, max_n=max_n, force=force)
     agree = analysis.predicted_gamma == r.gamma and analysis.membership == r.exists
@@ -534,7 +531,7 @@ def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2,
         target = independent_one_k(k)
     else:
         raise ValueError(f"unknown characterization {which!r}")
-    product, _ = _product_of(g, h)
+    product, _ = lex_product(g, h)
     found = exists_set(product, target, max_n=max_n, force=force)
     return DiscrepancyReport(
         kind=f"characterize_{which}",

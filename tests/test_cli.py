@@ -225,6 +225,37 @@ class TestTheorem:
             code, out, err = run(capsys, "theorem", *argv, "--compare-oracle")
             assert code == 3 and out == "" and "35 vertices, cap is 32" in err
 
+    def test_huge_header_exits_3_before_building_the_graph(self, tmp_path, capsys, c5_file,
+                                                           monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000000 0\n")
+        real_graph = graphs.Graph
+
+        def small_graph(n, *args, **kwargs):
+            if n > 32:
+                raise AssertionError("graph built before the cap check")
+            return real_graph(n, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "Graph", small_graph)
+        for argv in (("product-gamma", c5_file, str(huge), "--kind", "total"),
+                     ("total", str(huge), c5_file),
+                     ("independent", c5_file, str(huge))):
+            code, out, err = run(capsys, "theorem", *argv)
+            assert code == 3 and out == ""
+            assert "1000000000 vertices, cap is 32" in err
+
+    def test_force_lifts_the_factor_cap(self, tmp_path, capsys, c5_file, monkeypatch):
+        # the total prediction solves only on G, so a 40-vertex H is no cost
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        p40 = tmp_path / "p40.el"
+        p40.write_text(format_edge_list(build_standard("path", 40)))
+        argv = ("theorem", "product-gamma", c5_file, str(p40), "--kind", "total")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "40 vertices, cap is 32" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and json.loads(out)["predicted_gamma"] == 3
+
     def test_strict_flag_is_gone(self, capsys, c5_file, c4_file):
         # it never changed anything: a disagreement exits 2 with or without it
         code, out, err = run(capsys, "theorem", "total", c5_file, c4_file,

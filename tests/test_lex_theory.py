@@ -16,6 +16,9 @@ from conftest import (
 )
 
 from domkit.domsets import (
+    BASES,
+    SetKind,
+    base_parameters,
     dominating,
     in_sd_class,
     independent_one_k,
@@ -366,8 +369,15 @@ class TestTotalOne2Prediction:
                 list(g.edges()), list(h.edges()), h.n)
 
 
+# found by a random search; the product with K2 has 22 vertices
+G11 = Graph(11, [(0, 2), (1, 9), (2, 9), (2, 10), (3, 4), (3, 6), (3, 9), (5, 8),
+                 (6, 7), (6, 9), (8, 9)])
+
+
 class TestFailedConstruction:
     def test_reported_without_searching_the_product(self, monkeypatch):
+        # characterize_total(G11, K2, 4) decides on a plan that fails the
+        # layer-count check (see TestRareSubcases)
         product_sizes = []
         real_min_set = lex_theory.min_set
 
@@ -376,11 +386,82 @@ class TestFailedConstruction:
             return real_min_set(graph, kind, *args, **kwargs)
 
         monkeypatch.setattr(lex_theory, "min_set", recording_min_set)
-        monkeypatch.setattr(lex_theory, "_layers", lambda idx, g, *plan: frozenset())
-        a = product_gamma(P(4), P(4), "one_2")
-        assert (a.membership, a.predicted_gamma, a.matched_condition) == (True, 2, "case2b")
+        a = characterize_total(G11, P(2), 4)
+        assert (a.membership, a.matched_condition) == (True, 4)
         assert a.witness is None and a.layer_profile is None
-        assert product_sizes and max(product_sizes) == 4  # factor solves only
+        assert product_sizes and max(product_sizes) == 11  # factor solves only
+
+
+class TestLayerMasks:
+    """The layer-count check of a plan agrees with ``satisfies`` on the
+    explicit product, and the witness it yields is the plan's product ids."""
+
+    KINDS = [SetKind(base, k=k, j=j)
+             for base in BASES
+             for k in ((1, 2, 3) if "k" in base_parameters(base) else (None,))
+             for j in (range(k + 1) if "j" in base_parameters(base) else (None,))]
+
+    def test_agrees_with_satisfies_on_random_plans(self):
+        rng = random.Random(0x1A7E)
+        accepted = {base: 0 for base in BASES}
+        with_isolated = 0
+        for _ in range(400):
+            g = random_graph(rng, rng.randint(1, 5), rng.choice((0.2, 0.5, 0.8)))
+            h = random_graph(rng, rng.randint(1, 4), rng.choice((0.2, 0.5, 0.8)))
+            with_isolated += bool(g.isolated_vertices() or h.isolated_vertices())
+            plan = tuple(rng.sample(range(n), rng.randint(0, n)) for n in (g.n, h.n, h.n))
+            members, shared, lonely = map(set, plan)
+            # by definition: a member's layer carries ``lonely`` too when no
+            # other member is a G-neighbor
+            ids = sorted(v * h.n + x for v in members
+                         for x in shared | (set() if g.neighbors(v) & members else lonely))
+            product, idx = lex_product(g, h)
+            for kind in self.KINDS:
+                a = lex_theory._finish(g, h, kind, plan, True, None, None)
+                ok = satisfies(product, ids, kind)
+                assert (lex_theory._layer_masks(g, h, kind, *plan) is not None) == ok
+                if ok:
+                    assert a.witness == tuple(ids)
+                    assert a.layer_profile == idx.layer_profile(ids)
+                    accepted[kind.base] += 1
+                else:
+                    assert a.witness is None and a.layer_profile is None
+        assert with_isolated > 100
+        assert min(accepted.values()) >= 5, accepted
+
+
+DOUBLE_STAR = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
+K33 = Graph(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
+
+
+class TestIndependentLargeK:
+    """A non-member layer hears |D| for each member G-neighbor, so with D =
+    the gamma_i[1,k](H)-set in every member layer G is asked for an
+    independent [1, floor(k/|D|)]-set; that first differs from k at k = 4."""
+
+    def test_double_star(self):
+        r = verify_against_oracle(DOUBLE_STAR, Graph(2), "i_one_k", 4)
+        assert r.agree and r.prediction == r.oracle == 8
+        assert r.matched_condition == "case_b_independent"
+        assert r.witness_pred == r.witness_oracle == (2, 3, 4, 5, 8, 9, 10, 11)
+        a = characterize_independent(DOUBLE_STAR, Graph(2), 4)
+        assert (a.membership, a.matched_condition, a.witness) == (True, 3, r.witness_pred)
+
+    def test_k33_has_none(self):
+        a = product_gamma(K33, Graph(2), "i_one_k", 4)
+        assert (a.membership, a.matched_condition) == (False, "case_c_nonexistent")
+        r = verify_membership_against_oracle(K33, Graph(2), "independent", 4)
+        assert r.agree and r.prediction is False and r.oracle is False
+
+    def test_atlas_grid_at_k4(self):
+        for g, h in _atlas_pairs():
+            where = (list(g.edges()), list(h.edges()), h.n)
+            r = verify_against_oracle(g, h, "i_one_k", 4)
+            assert r.agree, where
+            assert r.prediction is None or len(r.witness_pred) == r.prediction, where
+            m = verify_membership_against_oracle(g, h, "independent", 4)
+            assert m.agree and m.prediction == (r.prediction is not None), where
+            assert not m.prediction or m.witness_pred is not None, where
 
 
 class TestRareSubcases:
@@ -396,27 +477,23 @@ class TestRareSubcases:
         r = verify_membership_against_oracle(g, h, "total", 2)
         assert r.agree and r.oracle is True
 
-    # found by a random search; the product with K2 has 22 vertices
-    G11 = Graph(11, [(0, 2), (1, 9), (2, 9), (2, 10), (3, 4), (3, 6), (3, 9), (5, 8),
-                     (6, 7), (6, 9), (8, 9)])
-
     def test_characterize_total_condition_4_second_branch(self):
         # gamma_t[1,4](K2) = 2 <= floor(4/2), and G11 has no efficient or
         # scattered 3-dependent set, so condition 4 decides on its second
         # branch.  Membership is right, but the layer plan on {1,2,3,5,6}
         # fails: non-member 9 hears 2 + 2 + 1 + 1 = 6 > 4, so no witness.
-        a = characterize_total(self.G11, P(2), k=4)
+        a = characterize_total(G11, P(2), k=4)
         assert (a.membership, a.matched_condition, a.witness, a.layer_profile) == (
             True, 4, None, None)
-        assert min_set(self.G11, j_dependent_one_k(3, 4)).witness == (1, 2, 3, 5, 6)
-        r = verify_membership_against_oracle(self.G11, P(2), "total", 4)
+        assert min_set(G11, j_dependent_one_k(3, 4)).witness == (1, 2, 3, 5, 6)
+        r = verify_membership_against_oracle(G11, P(2), "total", 4)
         assert r.agree and r.oracle is True
 
     def test_characterize_total_k3_misses_a_weighted_set(self):
         # non-members 3 and 6 hear 2 + 1 = 3 from a lonely doubled layer and a
         # single one: the weighted rule of ROADMAP item 2 with c = 2
-        assert not characterize_total(self.G11, P(2), k=3).membership
-        product, idx = lex_product(self.G11, P(2))
+        assert not characterize_total(G11, P(2), k=3).membership
+        product, idx = lex_product(G11, P(2))
         r = min_set(product, total_one_k(3))
         assert r.gamma == 7 and satisfies(product, set(r.witness), total_one_k(3))
         assert idx.layer_profile(r.witness) == (0, 0, 1, 0, 2, 0, 0, 2, 1, 1, 0)
@@ -424,7 +501,7 @@ class TestRareSubcases:
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="condition 4 needs the weighted constraint of ROADMAP item 2")
     def test_characterize_total_k3_agrees(self):
-        assert verify_membership_against_oracle(self.G11, P(2), "total", 3).agree
+        assert verify_membership_against_oracle(G11, P(2), "total", 3).agree
 
     def test_one_2_case1b(self):
         g = Graph(9, [(0, 2), (0, 3), (1, 2), (1, 6), (1, 8), (2, 4), (2, 6), (2, 7),
@@ -569,14 +646,16 @@ class TestVerifyAgainstOracle:
 
         monkeypatch.setattr(lex_theory, "lex_product", counted)
         g, h = P(4), P(4)
+        # predictions check their layer plans from layer counts alone
+        analyses = [product_gamma(g, h, kind) for kind in lex_theory.PRODUCT_GAMMA_KINDS]
+        analyses += [characterize_total(g, h), characterize_independent(g, h)]
+        assert built == [] and sum(a.witness is not None for a in analyses) >= 5
         r = verify_against_oracle(g, h, "one_2")
         assert r.witness_pred is not None and built == [(g, h)]
         r = verify_membership_against_oracle(g, h, "total")
-        assert r.witness_pred is not None and built == [(g, h)]
-        # equal factors that are other objects get their own product
-        g2, h2 = P(4), P(4)
-        verify_against_oracle(g2, h2, "one_2")
-        assert len(built) == 2 and built[1][0] is g2 and built[1][1] is h2
+        assert r.witness_pred is not None and built == [(g, h)] * 2
+        verify_membership_against_oracle(g, h, "independent")
+        assert built == [(g, h)] * 3
 
     def test_over_cap_product_is_refused_before_the_prediction(self, monkeypatch):
         monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
