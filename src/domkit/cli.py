@@ -141,8 +141,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    g = load_graph(args.g)
-    h = load_graph(args.h)
+    cap = None if args.force else resolve_cap()
+    g = load_graph(args.g, max_n=cap)
+    h = load_graph(args.h, max_n=cap)
     product, idx = lex_product(g, h)
     outputs = [(args.output, format_edge_list(product))]
     if args.layer_map:
@@ -188,12 +189,12 @@ def _cmd_theorem(args) -> int:
         if args.compare_oracle:
             result = verify_against_oracle(g, h, kind, args.k, force=args.force)
         else:
-            result = product_gamma(g, h, kind, args.k)
+            result = product_gamma(g, h, kind, args.k, force=args.force)
     elif args.compare_oracle:
         result = verify_membership_against_oracle(g, h, args.which, args.k, force=args.force)
     else:
         fn = characterize_total if args.which == "total" else characterize_independent
-        result = fn(g, h, args.k)
+        result = fn(g, h, args.k, force=args.force)
     _emit(result.to_dict(), args.pretty)
     return EXIT_DISAGREE if args.compare_oracle and not result.agree else EXIT_OK
 
@@ -247,6 +248,7 @@ def _build_parser() -> _Parser:
     p_prod.add_argument("h")
     p_prod.add_argument("-o", "--output")
     p_prod.add_argument("--layer-map")
+    p_prod.add_argument("--force", action="store_true")
     p_prod.set_defaults(fn=_cmd_product)
 
     p_solve = sub.add_parser("solve", help="exact minimum set of a kind")

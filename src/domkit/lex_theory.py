@@ -211,7 +211,7 @@ def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: b
 # -- membership characterizations ---------------------------------------------
 
 
-def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
+def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -> ProductAnalysis:
     """Decide whether G o H has a total [1,k]-set, from factor structure alone.
 
     Conditions are tried in order: (1) trivial G with H admitting a total
@@ -225,57 +225,59 @@ def characterize_total(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     t1k_kind = total_one_k(k)
 
     if g.n == 1:
-        r = min_set(h, t1k_kind)
+        r = min_set(h, t1k_kind, force=force)
         plan = ((0,), r.witness) if r.exists else None
         return _finish(g, h, t1k_kind, plan, r.exists, 1 if r.exists else None, None)
 
     iso = h.isolated_vertices()
     if iso:
-        r = min_set(g, t1k_kind)
+        r = min_set(g, t1k_kind, force=force)
     else:
-        r = min_set(g, j_dependent_total_one_k(k - 1, k))
+        r = min_set(g, j_dependent_total_one_k(k - 1, k), force=force)
     if r.exists:
         u_star = iso[0] if iso else 0
         return _finish(g, h, t1k_kind, (r.witness, (u_star,)), True, 2, None)
 
     # The lex-smallest minimum set is the same at every limit >= gamma, so
     # the floor(k/2) threshold reads this one solve.
-    h_total = min_set(h, t1k_kind, limit=k)
+    h_total = min_set(h, t1k_kind, limit=k, force=force)
     t = h_total.witness
     if h_total.exists:
-        r_eff = min_set(g, efficient())
+        r_eff = min_set(g, efficient(), force=force)
         if r_eff.exists:
             return _finish(g, h, t1k_kind, (r_eff.witness, t), True, 3, None)
         sd = first_sd_set(g, k - 1, k)
         if sd is not None:
             return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), True, 4, None)
     if h_total.exists and h_total.gamma <= k // 2:
-        r_dep = min_set(g, j_dependent_one_k(k - 1, k))
+        r_dep = min_set(g, j_dependent_one_k(k - 1, k), force=force)
         if r_dep.exists:
             return _finish(g, h, t1k_kind, (r_dep.witness, t[:1], t[1:]), True, 4, None)
     return ProductAnalysis(False, None, None, None, None)
 
 
-def _independent_plans(g: Graph, h: Graph, k: int) -> Iterator[tuple[int, int, tuple]]:
+def _independent_plans(g: Graph, h: Graph, k: int,
+                       force: bool) -> Iterator[tuple[int, int, tuple]]:
     """Plans (condition, size, plan) of an independent [1,k]-set of G o H, solved
     lazily.  Each member layer carries the first minimum independent
     [1,k]-set D of H: (2) over an efficient dominating set of G; (3) when
     |D| <= floor(k/2), over an independent [1, floor(k/|D|)]-set of G, as a
     non-member layer hears |D| per member G-neighbor."""
     # as in characterize_total, one solve serves both H thresholds
-    r_h = min_set(h, independent_one_k(k), limit=k)
+    r_h = min_set(h, independent_one_k(k), limit=k, force=force)
     if not r_h.exists:
         return
-    r_eff = min_set(g, efficient())
+    r_eff = min_set(g, efficient(), force=force)
     if r_eff.exists:
         yield 2, r_eff.gamma * r_h.gamma, (r_eff.witness, r_h.witness)
     if r_h.gamma <= k // 2:
-        r_g = min_set(g, independent_one_k(k // r_h.gamma))
+        r_g = min_set(g, independent_one_k(k // r_h.gamma), force=force)
         if r_g.exists:
             yield 3, r_g.gamma * r_h.gamma, (r_g.witness, r_h.witness)
 
 
-def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
+def characterize_independent(g: Graph, h: Graph, k: int = 2, *,
+                             force: bool = False) -> ProductAnalysis:
     """Decide whether G o H has an independent [1,k]-set, from factor structure.
 
     Conditions in order: (1) trivial G with H admitting one; then, with an
@@ -288,11 +290,11 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2) -> ProductAnalysis:
     i1k_kind = independent_one_k(k)
 
     if g.n == 1:
-        r = min_set(h, i1k_kind)
+        r = min_set(h, i1k_kind, force=force)
         plan = ((0,), r.witness) if r.exists else None
         return _finish(g, h, i1k_kind, plan, r.exists, 1 if r.exists else None, None)
 
-    for condition, _, plan in _independent_plans(g, h, k):
+    for condition, _, plan in _independent_plans(g, h, k, force):
         return _finish(g, h, i1k_kind, plan, True, condition, None)
     return ProductAnalysis(False, None, None, None, None)
 
@@ -307,19 +309,20 @@ def oracle_kind(kind: str, k: int = 2) -> SetKind:
     return _PRODUCT_KINDS[kind](k)
 
 
-def _identity_analysis(g: Graph, h: Graph, kind: SetKind) -> ProductAnalysis:
+def _identity_analysis(g: Graph, h: Graph, kind: SetKind, force: bool) -> ProductAnalysis:
     # one factor is a single vertex, so the product is a copy of the other
     if g.n == 1:
-        r = min_set(h, kind)
+        r = min_set(h, kind, force=force)
         plan = ((0,), r.witness) if r.exists else None
     else:
-        r = min_set(g, kind)
+        r = min_set(g, kind, force=force)
         plan = (r.witness, (0,)) if r.exists else None
     return _finish(g, h, kind, plan, r.exists,
                    "identity" if r.exists else "identity_nonexistent", r.gamma)
 
 
-def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2) -> ProductAnalysis:
+def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2, *,
+                  force: bool = False) -> ProductAnalysis:
     """Minimum size of the requested set type on G o H, from factor solves.
 
     Overlapping subcases are all evaluated and the smallest prediction wins;
@@ -333,32 +336,32 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2) -> ProductAnalysis:
     target = oracle_kind(kind, k)
 
     if g.n == 1 or h.n == 1:
-        return _identity_analysis(g, h, target)
+        return _identity_analysis(g, h, target, force)
 
     if kind == "plain":
         candidates = []
-        one_dominator = min_set(h, dominating(), limit=1)
+        one_dominator = min_set(h, dominating(), limit=1, force=force)
         if one_dominator.exists:
-            r_g = min_set(g, dominating())
+            r_g = min_set(g, dominating(), force=force)
             candidates.append((r_g.gamma, "dominated_layer",
                                (r_g.witness, one_dominator.witness)))
-        r_gt = min_set(g, total_dominating())
+        r_gt = min_set(g, total_dominating(), force=force)
         if r_gt.exists:
             candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
         return _pick(g, h, target, candidates, none_label=None)
 
     if kind == "total":
-        r_gt = min_set(g, total_dominating())
+        r_gt = min_set(g, total_dominating(), force=force)
         candidates = []
         if r_gt.exists:
             candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
         return _pick(g, h, target, candidates, none_label="no_total_set_in_g")
 
     if kind == "one_2":
-        return _one_2_cases(g, h, target)
+        return _one_2_cases(g, h, target, force)
     if kind == "total_one_2":
-        return _total_one_2_cases(g, h, target)
-    return _independent_cases(g, h, target, k)
+        return _total_one_2_cases(g, h, target, force)
+    return _independent_cases(g, h, target, k, force)
 
 
 def _pick(g: Graph, h: Graph, target: SetKind, candidates: list[tuple[int, str, tuple]],
@@ -369,16 +372,16 @@ def _pick(g: Graph, h: Graph, target: SetKind, candidates: list[tuple[int, str, 
     return _finish(g, h, target, plan, True, label, value)
 
 
-def _one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
+def _one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAnalysis:
     # n_h >= 2 here, so every subcase value is at most 2 * n_g <= n_g * n_h
     # and the full vertex set, appended last, wins only when none applies.
     full = (range(g.n), range(h.n))
     candidates: list[tuple[int, str, tuple]] = []
-    r_h = min_set(h, one_k(2), limit=2)  # only gamma 1 or 2 is read
+    r_h = min_set(h, one_k(2), limit=2, force=force)  # only gamma 1 or 2 is read
     pair_h = r_h.witness
     iso = h.isolated_vertices()
     if iso:
-        r_gt = min_set(g, total_one_k(2))
+        r_gt = min_set(g, total_one_k(2), force=force)
         if r_gt.exists:
             candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
         if r_h.gamma == 2:
@@ -392,10 +395,10 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
         candidates.append((g.n * h.n, "case1c", full))
         return _pick(g, h, target, candidates, None)
     if r_h.gamma == 1:
-        r_dep = min_set(g, j_dependent_one_k(1, 2))
+        r_dep = min_set(g, j_dependent_one_k(1, 2), force=force)
         if r_dep.exists:
             candidates.append((r_dep.gamma, "case2a", (r_dep.witness, pair_h)))
-    r_dept = min_set(g, j_dependent_total_one_k(1, 2))
+    r_dept = min_set(g, j_dependent_total_one_k(1, 2), force=force)
     if r_dept.exists:
         candidates.append((r_dept.gamma, "case2b", (r_dept.witness, (0,))))
     if r_h.gamma == 2:
@@ -407,21 +410,21 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
     return _pick(g, h, target, candidates, None)
 
 
-def _total_one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
+def _total_one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAnalysis:
     candidates: list[tuple[int, str, tuple]] = []
     iso = h.isolated_vertices()
     if iso:
-        r_gt = min_set(g, total_one_k(2))
+        r_gt = min_set(g, total_one_k(2), force=force)
         if r_gt.exists:
             candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
         return _pick(g, h, target, candidates, "case1b_nonexistent")
-    r_dept = min_set(g, j_dependent_total_one_k(1, 2))
+    r_dept = min_set(g, j_dependent_total_one_k(1, 2), force=force)
     if r_dept.exists:
         candidates.append((r_dept.gamma, "case2a", (r_dept.witness, (0,))))
     # The layer of a lonely member (no in-set G-neighbor) alone dominates that
     # layer, so it is a total [1,2]-set of H; the two vertices the value counts
     # for it must be an edge of H that dominates H, whatever gamma_[1,2](H) is.
-    pair = min_set(h, total_one_k(2), limit=2)
+    pair = min_set(h, total_one_k(2), limit=2, force=force)
     if pair.exists:
         sd = min_sd_size_plus_alpha(g, 1, 2)
         if sd is not None:
@@ -430,10 +433,11 @@ def _total_one_2_cases(g: Graph, h: Graph, target: SetKind) -> ProductAnalysis:
     return _pick(g, h, target, candidates, "case2c_nonexistent")
 
 
-def _independent_cases(g: Graph, h: Graph, target: SetKind, k: int) -> ProductAnalysis:
+def _independent_cases(g: Graph, h: Graph, target: SetKind, k: int,
+                       force: bool) -> ProductAnalysis:
     labels = {2: "case_a_efficient", 3: "case_b_independent"}
     candidates = [(value, labels[condition], plan)
-                  for condition, value, plan in _independent_plans(g, h, k)]
+                  for condition, value, plan in _independent_plans(g, h, k, force)]
     return _pick(g, h, target, candidates, "case_c_nonexistent")
 
 
@@ -496,7 +500,7 @@ def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
     effort but never its answer.
     """
     check_cap(g.n * h.n, max_n, force)
-    analysis = product_gamma(g, h, kind, k)
+    analysis = product_gamma(g, h, kind, k, force=force)
     product, idx = lex_product(g, h)
     guess = product.n + 1 if analysis.predicted_gamma is None else analysis.predicted_gamma
     r = min_set(product, oracle_kind(kind, k), guess=guess, max_n=max_n, force=force)
@@ -524,10 +528,10 @@ def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2,
     product; an over-cap product is refused before the characterization runs."""
     check_cap(g.n * h.n, max_n, force)
     if which == "total":
-        analysis = characterize_total(g, h, k)
+        analysis = characterize_total(g, h, k, force=force)
         target = total_one_k(k)
     elif which == "independent":
-        analysis = characterize_independent(g, h, k)
+        analysis = characterize_independent(g, h, k, force=force)
         target = independent_one_k(k)
     else:
         raise ValueError(f"unknown characterization {which!r}")

@@ -6,6 +6,9 @@ ids, so the first satisfying set found is the canonical witness.  One
 recursive loop serves both modes: ``min_set`` and ``enumerate_sets`` deepen
 over exact target sizes, while ``exists_set`` makes one variable-size sweep
 up to its limit (90,522 nodes on the X3C gadgets, against 159,984).
+``min_set`` also runs that sweep when deepening would go on after two
+passes that found no set, so a nonexistence proof costs at most two passes
+and one sweep (see ``min_set``).
 
 Pruning is sound-only.  A branch is cut when a spanning number already
 exceeds the applicable upper bound with no way to recover, or by a counting
@@ -212,7 +215,7 @@ class _Search:
         self.size_cut = False
 
     def run(self, min_size: int, max_size: int, on_solution: Callable[[int], bool],
-            any_size: bool = False) -> bool:
+            any_size: bool = False, sweep_after: int = 0) -> bool:
         """Explore candidate sets; sizes ascending, lexicographic within a size.
 
         With ``any_size`` every valid subset of size <= max_size is a solution
@@ -222,6 +225,10 @@ class _Search:
         size-dependent cut touched (``size_cut`` stays False): it tested no
         set of the full target size and pruned nothing for lack of picks, so
         every larger target would explore the same tree and find nothing.
+        With ``sweep_after`` p >= 1, deepening about to start a pass after p
+        passes that found no set first runs one sweep up to ``max_size``: if
+        it finds no set, no size holds one and the search ends; if it finds
+        one, deepening goes on as without the sweep.
         A size that the double-counting bound (``_size_fits``) rules out
         holds no set: deepening skips it without a pass, so it never ends
         the deepening, and the sweep lowers ``max_size`` to the largest size
@@ -241,9 +248,13 @@ class _Search:
             sizes = range(max(min_size, 1), min(max_size, n) + 1)
         exact = not any_size
         empty = [0] * self.levels_len  # _rec copies levels before changing them
+        failed = 0  # passes that ended with no set and a size-dependent cut
         for size in sizes:
             if not self._size_fits(size):
                 continue  # no set has this size; a skipped size is not a pass
+            if (sweep_after and failed == sweep_after
+                    and not self.run(0, max_size, lambda mask: True, any_size=True)):
+                return False  # no set of any size up to max_size
             self.nodes += 1
             if n > size * self.gain:
                 continue  # the counting bound, which a larger size may pass
@@ -253,6 +264,7 @@ class _Search:
                 return True
             if not self.size_cut:
                 return False  # every larger size would explore this same tree
+            failed += 1
         return False
 
     def _size_fits(self, size: int) -> bool:
@@ -354,8 +366,8 @@ class _Search:
             new_unmet = unmet & ~(child0 if member_needs_lo else child0 | bit)
             if hi_out is not None:
                 must = (out_at | av & out_below) & ~new_mask
+            nodes += 1
             if not left:
-                nodes += 1
                 size_cut = True  # a larger size would extend this child
                 if not (new_unmet or must) and on_solution(new_mask):
                     self.nodes += nodes
@@ -364,7 +376,6 @@ class _Search:
             if not (exact or new_unmet or must) and on_solution(new_mask):
                 self.nodes += nodes
                 return True
-            nodes += 1
             if new_unmet.bit_count() > unmet_cap:
                 size_cut = True
                 continue
@@ -414,6 +425,16 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     size 0 as without a guess.  A guess above n makes the sweep settle
     nonexistence alone.  The answer and witness never depend on the guess,
     only ``nodes_explored`` does; a negative guess raises ``ValueError``.
+
+    When deepening is about to start a third pass after two that found no
+    set, one sweep over every size up to the limit first asks whether any
+    set is left: if none is, the answer is nonexistence; if one is,
+    deepening goes on, so the answer and witness are those of deepening
+    alone.  This needs a binding upper bound; a kind without one is
+    monotone, so V is a set if any set is, and its first pass already ends
+    the deepening when no set exists.  No sweep runs once a sweep has found
+    a set.  On the sparse 18-vertex ``solve`` benchmark graph, a proof that
+    no total [1,2]-set exists takes 1,941 nodes instead of 9,816.
     """
     _check_limit(limit)
     if guess < 0:
@@ -427,9 +448,13 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
         found.append(mask)
         return True
 
+    # Two failed passes: on the seed-11 benchmark calls, sweeping after one
+    # costs the product workload's factor solves 5% more nodes, and after
+    # three saves less on solve (79,976 nodes against 76,614).
+    sweep_after = 2 if search.hi_in is not None or search.hi_out is not None else 0
     if guess and search.run(0, min(guess - 1, top), lambda mask: True, any_size=True):
-        guess = 0  # a set smaller than the guess exists: deepen from the empty set
-    search.run(guess, top, grab)
+        guess = sweep_after = 0  # a set smaller than the guess exists: deepen from the empty set
+    search.run(guess, top, grab, sweep_after=sweep_after)
     if found:
         witness = mask_to_ids(found[0])
         return SolveResult(kind, True, len(witness), witness, search.nodes)

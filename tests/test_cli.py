@@ -5,7 +5,13 @@ import pytest
 
 from domkit import graphs
 from domkit.cli import KIND_TOKENS, _build_parser, main
-from domkit.graphs import build_standard, format_edge_list, load_graph, parse_edge_list
+from domkit.graphs import (
+    build_standard,
+    format_edge_list,
+    lex_product,
+    load_graph,
+    parse_edge_list,
+)
 
 
 @pytest.fixture
@@ -97,6 +103,35 @@ class TestProduct:
     def test_missing_file_exits_1(self, capsys, c5_file):
         code, _, err = run(capsys, "product", c5_file, "/nonexistent.el")
         assert code == 1 and "error" in err
+
+    def test_huge_header_exits_3_before_building_the_graph(self, tmp_path, capsys, c5_file,
+                                                           monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        huge = tmp_path / "huge.el"
+        huge.write_text("1000000000 0\n")
+        real_graph = graphs.Graph
+
+        def small_graph(n, *args, **kwargs):
+            if n > 32:
+                raise AssertionError("graph built before the cap check")
+            return real_graph(n, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "Graph", small_graph)
+        out_file = tmp_path / "p.el"
+        for g, h in ((c5_file, str(huge)), (str(huge), c5_file)):
+            code, out, err = run(capsys, "product", g, h, "-o", str(out_file))
+            assert code == 3 and out == "" and not out_file.exists()
+            assert "1000000000 vertices, cap is 32" in err
+
+    def test_force_lifts_the_factor_cap(self, tmp_path, capsys, c5_file, monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        p40 = tmp_path / "p40.el"
+        p40.write_text(format_edge_list(build_standard("path", 40)))
+        code, out, err = run(capsys, "product", str(p40), c5_file)
+        assert code == 3 and out == "" and "40 vertices, cap is 32" in err
+        code, out, _ = run(capsys, "product", str(p40), c5_file, "--force")
+        product, _ = lex_product(build_standard("path", 40), build_standard("cycle", 5))
+        assert code == 0 and out == format_edge_list(product)
 
 
 class TestSolve:
@@ -255,6 +290,23 @@ class TestTheorem:
         assert code == 3 and out == "" and "40 vertices, cap is 32" in err
         code, out, _ = run(capsys, *argv, "--force")
         assert code == 0 and json.loads(out)["predicted_gamma"] == 3
+
+    def test_force_reaches_the_factor_solves(self, tmp_path, capsys, c5_file, monkeypatch):
+        # condition 2 solves on the 40-vertex G, which needs the same --force
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        p40 = tmp_path / "p40.el"
+        p40.write_text(format_edge_list(build_standard("path", 40)))
+        for argv in (("total",), ("independent",), ("product-gamma", "--kind", "t-one2")):
+            code, out, err = run(capsys, "theorem", argv[0], str(p40), c5_file, *argv[1:])
+            assert code == 3 and out == "" and "40 vertices, cap is 32" in err
+            code, out, _ = run(capsys, "theorem", argv[0], str(p40), c5_file, *argv[1:],
+                               "--force")
+            payload = json.loads(out)
+            assert code == 0 and payload["membership"] is True
+            assert payload["matched_condition"] == ("case2a" if argv[1:] else 2)
+        # the scattered-set scan keeps its own cap
+        code, out, err = run(capsys, "theorem", "product-gamma", str(p40), c5_file, "--force")
+        assert code == 3 and out == "" and "scattered-set scan needs n <= 20" in err
 
     def test_strict_flag_is_gone(self, capsys, c5_file, c4_file):
         # it never changed anything: a disagreement exits 2 with or without it

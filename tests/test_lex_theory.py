@@ -674,6 +674,27 @@ class TestVerifyAgainstOracle:
         assert verify_against_oracle(P(3), P(2), "plain", max_n=5, force=True).agree
         assert calls
 
+    def test_force_reaches_every_factor_solve(self, monkeypatch):
+        forced = []
+        solve = lex_theory.min_set
+        monkeypatch.setattr(lex_theory, "min_set", lambda *args, **kwargs: (
+            forced.append(kwargs["force"]) or solve(*args, **kwargs)))
+        for force in (False, True):
+            forced.clear()
+            for g, h in ((P(4), P(4)), (C(5), build_standard("empty", 2)), (K1, C(6))):
+                for kind in lex_theory.PRODUCT_GAMMA_KINDS:
+                    product_gamma(g, h, kind, force=force)
+                    verify_against_oracle(g, h, kind, force=force)
+                for which, fn in (("total", characterize_total),
+                                  ("independent", characterize_independent)):
+                    fn(g, h, force=force)
+                    verify_membership_against_oracle(g, h, which, force=force)
+            assert len(forced) >= 80 and set(forced) == {force}
+        big = P(40)  # condition 2 of the total characterization solves on G alone
+        with pytest.raises(GraphTooLargeError):
+            characterize_total(big, C(5))
+        assert characterize_total(big, C(5), force=True).membership is True
+
 
 class TestLayerStructure:
     def test_layer_cardinality_bound_small_corpus(self, rng):

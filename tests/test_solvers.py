@@ -213,6 +213,70 @@ class TestGuess:
                 min_set(g, dominating(), guess=-1)
 
 
+class TestSweepAfterFailedPasses:
+    """After two deepening passes that find no set, ``min_set`` runs one
+    variable-size sweep; it must change only ``nodes_explored``, never the
+    answer or the witness of deepening alone."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Patch ``_Search`` so that each sweep run inside deepening appends
+        whether it found a set."""
+        sweeps = []
+
+        class Recorded(_Search):
+            __slots__ = ("depth",)
+
+            def run(self, *args, **kwargs):
+                self.depth = getattr(self, "depth", 0) + 1
+                try:
+                    found = super().run(*args, **kwargs)
+                finally:
+                    self.depth -= 1
+                if self.depth:
+                    sweeps.append(found)
+                return found
+
+        monkeypatch.setattr(solvers, "_Search", Recorded)
+        return sweeps
+
+    def test_answers_match_deepening_alone(self, monkeypatch):
+        sweeps = self._recording(monkeypatch)
+        rng = random.Random(0x5EE9)
+        kinds = _kinds_k_up_to_3()
+        assert {kind.base for kind in kinds} == set(BASES)
+        graphs = [random_graph(rng, n, p) for n in range(14) for p in (0.1, 0.2, 0.35, 0.6, 0.85)]
+        graphs += [random_connected_graph(rng, n, p) for n in range(4, 14) for p in (0.1, 0.2)]
+        for g in graphs:
+            for kind in kinds:
+                limit = rng.choice((None, rng.randint(0, g.n)))
+                guess = rng.choice((0, rng.randint(1, g.n + 2)))
+                first = []
+                enumerate_masks(g, kind, 0, g.n if limit is None else limit,
+                                lambda m: (first.append(mask_to_ids(m)), True)[1])
+                expected = (True, len(first[0]), first[0]) if first else (False, None, None)
+                r = min_set(g, kind, limit=limit, guess=guess)
+                assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
+        # sweeps that settled nonexistence, and sweeps after which deepening went on
+        assert sweeps.count(False) >= 60 and sweeps.count(True) >= 90
+
+    def test_set_found_only_after_the_sweep(self, monkeypatch):
+        # the whole vertex set is the only [1,2]-set: two passes fail, the
+        # sweep finds a set, and deepening goes on to it
+        sweeps = self._recording(monkeypatch)
+        r = min_set(TestPinnedSearchWork.C5_C6, one_k(2))
+        assert sweeps == [True]
+        assert (r.gamma, r.witness) == (30, tuple(range(30)))
+
+    def test_monotone_kinds_never_sweep(self, monkeypatch):
+        # no binding upper bound: a kind with any set has V, so no sweep is needed
+        sweeps = self._recording(monkeypatch)
+        for g in (TestPinnedSearchWork.G18, build_standard("path", 20)):
+            for kind in (dominating(), total_dominating(), one_k(100)):
+                min_set(g, kind)
+        assert sweeps == []
+
+
 class TestSearchEffort:
     def test_counting_bound_keeps_long_paths_and_cycles_shallow(self):
         # 870,846 / 1,019,269 / 961,737 nodes before the counting bound
@@ -508,14 +572,24 @@ class TestPinnedSearchWork:
     node cheaper must leave them as they are."""
 
     C5_C6 = lex_product(build_standard("cycle", 5), build_standard("cycle", 6))[0]
+    # the solve benchmark's sparse1: a sparse connected graph with no total [1,2]-set
+    G18 = Graph(18, [(0, 2), (0, 4), (0, 15), (1, 2), (1, 8), (3, 17), (4, 8), (4, 16),
+                     (5, 16), (6, 8), (6, 13), (7, 8), (8, 11), (8, 13), (8, 14), (9, 14),
+                     (10, 17), (11, 16), (12, 16), (13, 15), (16, 17)])
 
     def test_exact_deepening(self):
+        # 23,922 before the sweep after two failed passes, which here finds V
         r = min_set(self.C5_C6, one_k(2))
-        assert (r.gamma, r.nodes_explored) == (30, 23922)
+        assert (r.gamma, r.nodes_explored) == (30, 23954)
 
     def test_nonexistence_proof(self):
         r = min_set(self.C5_C6, total_one_k(2))
         assert (r.exists, r.nodes_explored) == (False, 9194)
+
+    def test_nonexistence_settled_by_the_sweep(self):
+        # 9,816 when deepening alone proves every size empty
+        r = min_set(self.G18, total_one_k(2))
+        assert (r.exists, r.nodes_explored) == (False, 1941)
 
     def test_guessed_deepening(self):
         # the sweep proves sizes 0..29 empty in one pass, then size 30 is deepened
