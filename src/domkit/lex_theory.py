@@ -114,6 +114,7 @@ def _sd_scan(graph: Graph, j: int, k: int, weight: int) -> tuple[int, int] | Non
     if graph.n > _SD_SCAN_CAP:
         raise GraphTooLargeError(
             f"scattered-set scan needs n <= {_SD_SCAN_CAP}, got {graph.n}"
+            "; --force does not lift this limit"
         )
     adj = graph.neighbor_masks
     near = near_masks(adj)

@@ -304,9 +304,10 @@ class TestTheorem:
             payload = json.loads(out)
             assert code == 0 and payload["membership"] is True
             assert payload["matched_condition"] == ("case2a" if argv[1:] else 2)
-        # the scattered-set scan keeps its own cap
+        # the scattered-set scan keeps its own cap, and says that --force cannot lift it
         code, out, err = run(capsys, "theorem", "product-gamma", str(p40), c5_file, "--force")
-        assert code == 3 and out == "" and "scattered-set scan needs n <= 20" in err
+        assert code == 3 and out == ""
+        assert "scattered-set scan needs n <= 20, got 40; --force does not lift this limit" in err
 
     def test_strict_flag_is_gone(self, capsys, c5_file, c4_file):
         # it never changed anything: a disagreement exits 2 with or without it

@@ -277,6 +277,91 @@ class TestSweepAfterFailedPasses:
         assert sweeps == []
 
 
+class TestPackingBound:
+    """A greedy packing (vertices with pairwise disjoint non-empty hoods:
+    closed neighbourhoods, or open ones when members need an in-set
+    neighbour) bounds every set of the kind from below.  ``exists_set``
+    answers "no" from it at the root, and ``min_set``'s deepening skips every
+    size below it once a pass has failed; neither may change an answer or a
+    witness."""
+
+    def test_packed_hoods_are_disjoint_and_bound_every_set(self):
+        rng = random.Random(0x9AC4)
+        kinds = _kinds_k_up_to_3()
+        assert {kind.base for kind in kinds} == set(BASES)
+        exact = 0
+        for n in range(14):
+            for p in (0.1, 0.25, 0.4, 0.6, 0.85):
+                g = random_graph(rng, n, p)
+                for kind in kinds:
+                    search = _Search(g, kind)
+                    packed = mask_to_ids(search.packing())
+                    hoods = [search.hoods[v] for v in packed]
+                    assert all(hoods), (g, kind)
+                    assert not any(a & b for a, b in combinations(hoods, 2)), (g, kind)
+                    r = min_set(g, kind)
+                    if r.exists:
+                        assert len(packed) <= r.gamma, (g, kind)
+                        exact += len(packed) == r.gamma
+        assert exact >= 1000
+
+    def test_answers_match_the_first_listed_set(self, monkeypatch):
+        skips = []
+
+        class Recorded(_Search):
+            __slots__ = ("last",)
+
+            def _rec(self, start, remaining, mask, *args):
+                if not mask:
+                    self.last = remaining  # the target size of the pass at the root
+                return super()._rec(start, remaining, mask, *args)
+
+            def packing(self):
+                packed = super().packing()
+                if hasattr(self, "last"):  # min_set, after its first failed pass
+                    skips.append(packed.bit_count() - self.last - 1)
+                return packed
+
+        monkeypatch.setattr(solvers, "_Search", Recorded)
+        rng = random.Random(0x9AC5)
+        kinds = _kinds_k_up_to_3()
+        graphs = [random_graph(rng, n, p) for n in range(14) for p in (0.1, 0.2, 0.35, 0.6, 0.85)]
+        graphs += [random_connected_graph(rng, n, p) for n in range(4, 14) for p in (0.1, 0.2)]
+        for g in graphs:
+            for kind in kinds:
+                limit = rng.choice((None, rng.randint(0, g.n)))
+                guess = rng.choice((0, rng.randint(1, g.n + 2)))
+                first = []
+                enumerate_masks(g, kind, 0, g.n if limit is None else limit,
+                                lambda m: (first.append(mask_to_ids(m)), True)[1])
+                expected = (True, len(first[0]), first[0]) if first else (False, None, None)
+                r = min_set(g, kind, limit=limit, guess=guess)
+                assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
+                assert exists_set(g, kind, limit=limit) is bool(first), (g, kind, limit)
+        # deepening skipped at least one size up to the packing on some calls
+        assert sum(skip > 0 for skip in skips) >= 150
+
+    def test_x3c_catalog_searches_only_yes_instances(self, monkeypatch):
+        # every no-instance that reaches the gadget is settled by the packing:
+        # 491 sweeps of 90,522 nodes before the bound
+        searches = []
+
+        class Recorded(_Search):
+            def run(self, *args, **kwargs):
+                searches.append(self)
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_Search", Recorded)
+        catalog = [X3CInstance(3, ((0, 1, 2),))]
+        triples = list(combinations(range(6), 3))
+        for count in (1, 2, 3):
+            catalog += [X3CInstance(6, sets) for sets in combinations(triples, count)]
+        assert len(catalog) == 1351
+        answers = [decide_x3c(inst) for inst in catalog]
+        assert answers == [decide_x3c(inst, "brute_force") for inst in catalog]
+        assert sum(answers) == len(searches) == 191
+
+
 class TestSearchEffort:
     def test_counting_bound_keeps_long_paths_and_cycles_shallow(self):
         # 870,846 / 1,019,269 / 961,737 nodes before the counting bound
@@ -499,7 +584,8 @@ class TestTwinCut:
             assert seen == [h for h in hits if lo <= len(h) <= hi], (g, kind, lo, hi)
 
     def test_x3c_sweep_with_three_sets(self, monkeypatch):
-        # 501,150 nodes over the 480 gadgets that search before the twin cut
+        # 501,150 nodes over the 480 gadgets that search before the twin cut,
+        # and 90,285 before the packing bound settled the 300 no-instances
         searches = []
 
         class Recorded(_Search):
@@ -510,8 +596,8 @@ class TestTwinCut:
         monkeypatch.setattr(solvers, "_Search", Recorded)
         found = sum(decide_x3c(X3CInstance(6, sets))
                     for sets in combinations(combinations(range(6), 3), 3))
-        assert (found, len(searches)) == (180, 480)
-        assert sum(search.nodes for search in searches) <= 90285
+        assert (found, len(searches)) == (180, 180)
+        assert sum(search.nodes for search in searches) <= 16605
 
     def test_closed_twins_of_a_product(self):
         # 10,167 nodes before the twin cut; the layers of C14 o P2 are pairs
@@ -587,9 +673,18 @@ class TestPinnedSearchWork:
         assert (r.exists, r.nodes_explored) == (False, 9194)
 
     def test_nonexistence_settled_by_the_sweep(self):
-        # 9,816 when deepening alone proves every size empty
+        # 9,816 when deepening alone proves every size empty, 1,941 before
+        # the first failed pass let deepening skip to the packing
         r = min_set(self.G18, total_one_k(2))
-        assert (r.exists, r.nodes_explored) == (False, 1941)
+        assert (r.exists, r.nodes_explored) == (False, 1870)
+
+    def test_deepening_jumps_to_the_packing(self):
+        # 869 before: after the failed pass at size 3 (the counting bound rules
+        # out 1 and 2), the open packing of 6 vertices skips sizes 4 and 5,
+        # and deepening finds the set at size 6
+        r = min_set(self.G18, total_dominating())
+        assert (r.gamma, r.nodes_explored) == (6, 410)
+        assert _Search(self.G18, total_dominating()).packing().bit_count() == 6
 
     def test_guessed_deepening(self):
         # the sweep proves sizes 0..29 empty in one pass, then size 30 is deepened
