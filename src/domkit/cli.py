@@ -12,16 +12,15 @@ import functools
 import json
 import os
 import sys
-from contextlib import ExitStack
 
 from .domsets import SetKind, base_parameters
 from .graphs import (
     build_standard,
-    fill_text,
+    fill_output,
     format_edge_list,
     lex_product,
     load_graph,
-    open_text,
+    open_output,
 )
 from .lex_theory import (
     characterize_independent,
@@ -31,7 +30,7 @@ from .lex_theory import (
     verify_against_oracle,
     verify_membership_against_oracle,
 )
-from .npc import build_gadget, decide_x3c, x3c_from_json
+from .npc import build_gadget, check_gadget_cap, decide_x3c, x3c_from_json
 from .solvers import (
     GraphTooLargeError,
     check_closed_form_k,
@@ -116,19 +115,25 @@ def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write each text to its path, or to stdout where the path is empty.  All
     paths are opened first, so one that fails to open leaves every output
     unwritten and removes the files the earlier opens created."""
-    with ExitStack() as stack:
-        missing = [path for path, _ in outputs if path and not os.path.lexists(path)]
+    missing = [path for path, _ in outputs if path and not os.path.lexists(path)]
+    fds: list[int | None] = []
+    try:
         try:
-            files = [path and stack.enter_context(open_text(path)) for path, _ in outputs]
+            for path, _ in outputs:
+                fds.append(open_output(path) if path else None)
         except OSError:
             for path in filter(os.path.lexists, missing):  # skips the unopened ones
                 os.unlink(path)
             raise
-        for fh, (_, text) in zip(files, outputs):
-            if fh:
-                fill_text(fh, text)
-            else:
+        for fd, (_, text) in zip(fds, outputs):
+            if fd is None:
                 sys.stdout.write(text)
+            else:
+                fill_output(fd, text)
+    finally:
+        for fd in fds:
+            if fd is not None:
+                os.close(fd)
 
 
 def _cmd_gen(args) -> int:
@@ -202,6 +207,7 @@ def _cmd_theorem(args) -> int:
 def _cmd_reduce(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = x3c_from_json(fh.read())
+    check_gadget_cap(inst, force=args.force)
     graph, meta = build_gadget(inst)
     outputs = [(args.output, format_edge_list(graph))]
     if args.meta:
@@ -217,10 +223,13 @@ def _cmd_decide_x3c(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as fh:
         inst = x3c_from_json(fh.read())
     payload: dict = {"universe": inst.universe_size, "num_sets": inst.num_sets}
-    if args.mode in ("both", "brute_force"):
+    if args.mode != "brute_force":
+        # first, so that the gadget's cap check runs before the 2^t brute force
+        via = decide_x3c(inst, "via_gadget", force=args.force)
+    if args.mode != "via_gadget":
         payload["brute_force"] = decide_x3c(inst, "brute_force")
-    if args.mode in ("both", "via_gadget"):
-        payload["via_gadget"] = decide_x3c(inst, "via_gadget", force=args.force)
+    if args.mode != "brute_force":
+        payload["via_gadget"] = via
     if args.mode == "both":
         payload["agree"] = payload["brute_force"] == payload["via_gadget"]
     _emit(payload, args.pretty)
@@ -284,6 +293,7 @@ def _build_parser() -> _Parser:
     p_red.add_argument("instance")
     p_red.add_argument("-o", "--output")
     p_red.add_argument("--meta")
+    p_red.add_argument("--force", action="store_true")
     p_red.set_defaults(fn=_cmd_reduce)
 
     p_dec = sub.add_parser("decide-x3c", help="decide Exact-3-Cover both ways")

@@ -3,7 +3,9 @@
 Each 3-set gets a 4-cycle with an anchor vertex and three connector vertices;
 each universe element attaches to all three connectors of every set containing
 it.  A cover of size q corresponds to a total [1,2]-set of size 2t + q, which
-is also the budget of the decision question.
+is also the budget of the decision question.  The gadget's 7t + 3q vertices
+are checked against the solver cap before the gadget is built, and the
+sidecar's role map is formatted from the fixed id layout.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .domsets import satisfies, total_one_k
 from .graphs import Graph
-from .solvers import exists_set, min_set
+from .solvers import check_cap, exists_set, min_set
 
 
 class ReductionError(RuntimeError):
@@ -79,9 +81,22 @@ class GadgetMeta:
         raise ValueError(f"vertex {vid} not in gadget")
 
     def to_sidecar_json(self) -> str:
-        total = 7 * self.num_sets + self.universe_size
-        roles = {str(v): self.role_of(v) for v in range(total)}
-        return json.dumps({"budget": self.budget, "roles": roles})
+        """``json.dumps({"budget": ..., "roles": {str(v): role_of(v), ...}})``,
+        formatted straight from the three id ranges of the layout."""
+        t = self.num_sets
+        roles = [f'"{v}": {{"role": "cycle", "set": {v >> 2}, "pos": {v & 3}}}'
+                 for v in range(4 * t)]
+        roles += [f'"{4 * t + 3 * i + slot}": {{"role": "connector", "set": {i}, "slot": {slot}}}'
+                  for i in range(t) for slot in range(3)]
+        roles += [f'"{7 * t + x}": {{"role": "element", "element": {x}}}'
+                  for x in range(self.universe_size)]
+        return f'{{"budget": {self.budget}, "roles": {{{", ".join(roles)}}}}}'
+
+
+def check_gadget_cap(inst: X3CInstance, max_n: int | None = None,
+                     force: bool = False) -> None:
+    """``solvers.check_cap`` on the gadget's 7t + 3q vertices, before it is built."""
+    check_cap(7 * inst.num_sets + inst.universe_size, max_n, force)
 
 
 def build_gadget(inst: X3CInstance) -> tuple[Graph, GadgetMeta]:
@@ -158,26 +173,36 @@ def witness_to_cover(inst: X3CInstance, meta: GadgetMeta,
     return chosen
 
 
+def _has_exact_cover(inst: X3CInstance) -> bool:
+    """Brute force over all 2^t subcollections."""
+    t = inst.num_sets
+    for bits in range(1 << t):
+        hits = [0] * inst.universe_size
+        for i in range(t):
+            if bits >> i & 1:
+                for x in inst.sets[i]:
+                    hits[x] += 1
+        if all(c == 1 for c in hits):
+            return True
+    return False
+
+
 def decide_x3c(inst: X3CInstance, mode: str = "via_gadget", *,
                max_n: int | None = None, force: bool = False) -> bool:
-    """Decide Exact-3-Cover either by direct enumeration or via the gadget."""
+    """Decide Exact-3-Cover either by direct enumeration or via the gadget.
+
+    ``via_gadget`` checks the gadget's size against the cap (``max_n``,
+    ``force``) before it builds anything; ``brute_force`` has no cap.
+    """
     if mode == "brute_force":
-        t = inst.num_sets
-        for bits in range(1 << t):
-            hits = [0] * inst.universe_size
-            for i in range(t):
-                if bits >> i & 1:
-                    for x in inst.sets[i]:
-                        hits[x] += 1
-            if all(c == 1 for c in hits):
-                return True
-        return False
+        return _has_exact_cover(inst)
     if mode != "via_gadget":
         raise ValueError(f"unknown mode {mode!r}")
     covered = {x for triple in inst.sets for x in triple}
     if len(covered) < inst.universe_size:
         # an uncovered element would be an isolated gadget vertex
         return False
+    check_gadget_cap(inst, max_n, force)
     graph, meta = build_gadget(inst)
     return exists_set(graph, total_one_k(2), limit=meta.budget,
                       max_n=max_n, force=force)
@@ -185,7 +210,11 @@ def decide_x3c(inst: X3CInstance, mode: str = "via_gadget", *,
 
 def minimum_gadget_witness(inst: X3CInstance, *, max_n: int | None = None,
                            force: bool = False):
-    """Exact minimum total [1,2]-set of the gadget (for budget-tightness checks)."""
+    """Exact minimum total [1,2]-set of the gadget (for budget-tightness checks).
+
+    The cap is checked before the gadget is built.
+    """
+    check_gadget_cap(inst, max_n, force)
     graph, _ = build_gadget(inst)
     return min_set(graph, total_one_k(2), max_n=max_n, force=force)
 

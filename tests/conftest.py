@@ -137,3 +137,14 @@ def nonisomorphic_trees(n: int):
         return
     for t in nx.nonisomorphic_trees(n):
         yield nx_to_graph(t)
+
+
+def x3c_catalog() -> list:
+    """Every Exact-3-Cover instance with q <= 2 and t <= 3 (1351 of them)."""
+    from domkit.npc import X3CInstance
+
+    catalog = [X3CInstance(3, ((0, 1, 2),))]
+    triples = list(combinations(range(6), 3))
+    for count in (1, 2, 3):
+        catalog += [X3CInstance(6, sets) for sets in combinations(triples, count)]
+    return catalog

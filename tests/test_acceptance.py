@@ -15,6 +15,7 @@ from conftest import (
     naive_satisfies,
     nonisomorphic_trees,
     random_graph,
+    x3c_catalog,
 )
 
 from domkit.domsets import independent_one_k, one_k, total_dominating, total_one_k
@@ -167,11 +168,7 @@ def test_a5_characterization_matches_oracle():
 
 def test_a6_reduction_equivalence():
     failures = []
-    instances = [X3CInstance(3, ((0, 1, 2),))]
-    triples = list(combinations(range(6), 3))
-    for count in (1, 2, 3):
-        for chosen in combinations(triples, count):
-            instances.append(X3CInstance(6, chosen))
+    instances = x3c_catalog()
     from test_npc import two_coloring_exists
 
     examined = 0

@@ -1,9 +1,10 @@
 import json
 import os
+from itertools import combinations
 
 import pytest
 
-from domkit import graphs
+from domkit import cli, graphs, npc
 from domkit.cli import KIND_TOKENS, _build_parser, main
 from domkit.graphs import (
     build_standard,
@@ -392,6 +393,60 @@ class TestReduceAndDecide:
         code, out, _ = run(capsys, *argv, str(tmp_path), "-o", str(fresh))
         assert (code, out) == (1, "")
         assert not fresh.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_every_descriptor_is_closed(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"universe": 3, "sets": [[0, 1, 2]]}))
+        before = sorted(os.listdir("/proc/self/fd"))
+        for extra in (("--meta", str(tmp_path / "m.json")), ("--meta", str(tmp_path))):
+            run(capsys, "reduce", str(inst), "-o", str(tmp_path / "g.el"), *extra)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    @pytest.fixture
+    def eighteen_sets(self, tmp_path, monkeypatch):
+        """An 18-set instance with no exact cover (every set holds element 0)
+        and a 135-vertex gadget, under the default cap of 32."""
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        sets = [[0, a, b] for a, b in combinations(range(1, 9), 2)][:18]
+        inst = tmp_path / "many.json"
+        inst.write_text(json.dumps({"universe": 9, "sets": sets}))
+        return str(inst)
+
+    def test_over_cap_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                              eighteen_sets):
+        def refuse(inst):
+            raise AssertionError("work done before the cap check")
+
+        monkeypatch.setattr(npc, "_has_exact_cover", refuse)
+        monkeypatch.setattr(npc, "build_gadget", refuse)
+        monkeypatch.setattr(cli, "build_gadget", refuse)
+        for mode in ("both", "via_gadget"):
+            code, out, err = run(capsys, "decide-x3c", eighteen_sets, "--mode", mode)
+            assert (code, out) == (3, "") and "135 vertices, cap is 32" in err
+        gadget, meta = tmp_path / "g.el", tmp_path / "m.json"
+        code, out, err = run(capsys, "reduce", eighteen_sets, "-o", str(gadget),
+                             "--meta", str(meta))
+        assert (code, out) == (3, "") and "135 vertices, cap is 32" in err
+        assert not gadget.exists() and not meta.exists()
+
+    def test_force_lifts_the_gadget_cap(self, tmp_path, capsys, monkeypatch, eighteen_sets):
+        code, out, _ = run(capsys, "reduce", eighteen_sets, "--force")
+        assert code == 0 and parse_edge_list(out).n == 135
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"universe": 6, "sets": [[0, 1, 2], [3, 4, 5], [1, 2, 3]]}))
+        expected = run(capsys, "reduce", str(inst))[1]
+        full = {"universe": 6, "num_sets": 3, "brute_force": True, "via_gadget": True,
+                "agree": True}
+        monkeypatch.setenv("DOMKIT_MAX_N", "26")  # the gadget has 27 vertices
+        for argv, forced in ((("reduce", str(inst)), expected),
+                             (("decide-x3c", str(inst)), json.dumps(full) + "\n")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "") and "27 vertices, cap is 26" in err
+            assert run(capsys, *argv, "--force")[:2] == (0, forced)
+        # the brute force alone has no cap
+        code, out, _ = run(capsys, "decide-x3c", str(inst), "--mode", "brute_force")
+        assert code == 0 and json.loads(out)["brute_force"] is True
 
     def test_decide_both_modes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -14,9 +14,11 @@ from domkit.graphs import (
     build_standard,
     complement,
     distance,
+    fill_output,
     format_edge_list,
     is_connected,
     lex_product,
+    open_output,
     parse_edge_list,
     write_text,
 )
@@ -281,6 +283,17 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             parse_edge_list("3 2\n0 1\n")
 
+    def test_edges_ascending_on_random_graphs(self):
+        rng = random.Random(0xED6E)
+        for _ in range(60):
+            n = rng.randint(0, 200)
+            density = rng.choice((0.01, 0.05, 0.3))
+            pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+            g = Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs])
+            assert list(g.edges()) == sorted(pairs)
+            lines = [f"{n} {len(pairs)}"] + [f"{u} {v}" for u, v in sorted(pairs)]
+            assert format_edge_list(g) == "\n".join(lines) + "\n"
+
     @settings(max_examples=50)
     @given(graphs_strategy(7))
     def test_round_trip_random(self, g):
@@ -293,6 +306,36 @@ class TestWriteText:
         write_text(str(target), "0123456789\n" * 50)
         write_text(str(target), "short\n")
         assert target.read_text() == "short\n"
+
+    @pytest.mark.parametrize("old_size", (5, 6, 7, 0))
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old_size):
+        # longer, equal-length, shorter and empty old files
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"x" * old_size)
+        write_text(str(target), "new!\n\n")
+        assert target.read_bytes() == b"new!\n\n"
+
+    def test_cut_compares_bytes_not_characters(self, tmp_path):
+        # 4 characters but 9 bytes over a 7-byte file: nothing may be cut
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"abcdef\n")
+        write_text(str(target), "γγγγ\n")
+        assert target.read_bytes() == "γγγγ\n".encode("utf-8")
+        write_text(str(target), "λ\n")
+        assert target.read_bytes() == "λ\n".encode("utf-8")
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:3])))
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"y" * 100)
+        text = "0 1\n1 2\nγ\n"
+        fd = open_output(str(target))
+        try:
+            fill_output(fd, text)
+        finally:
+            os.close(fd)
+        assert target.read_bytes() == text.encode("utf-8")
 
     def test_bytes_match_open_w(self, tmp_path):
         text = "5 2\n0 1\nγ ∘ λ\r\n\n"

@@ -4,10 +4,15 @@ from itertools import combinations
 
 import pytest
 
+from conftest import x3c_catalog
+
+from domkit import npc
 from domkit.domsets import satisfies, total_one_k
+from domkit.graphs import GraphTooLargeError, format_edge_list
 from domkit.npc import (
     X3CInstance,
     build_gadget,
+    check_gadget_cap,
     cover_to_witness,
     decide_x3c,
     minimum_gadget_witness,
@@ -135,6 +140,50 @@ class TestBuildGadget:
         assert len(sidecar) == 1250
         assert hashlib.sha256(sidecar.encode()).hexdigest() == (
             "35f520dbe86705090425a8997aa245f8b6e32a37dfca0eca1983dc7970e90a61")
+
+
+class TestOutputBytes:
+    def test_catalog_outputs_match_their_references(self):
+        # both texts against references built another way: the edge list from
+        # sorted neighbour pairs, the sidecar by json.dumps over role_of
+        for inst in x3c_catalog():
+            graph, meta = build_gadget(inst)
+            pairs = sorted((u, w) for u in range(graph.n) for w in graph.neighbors(u) if u < w)
+            lines = [f"{graph.n} {len(pairs)}"] + [f"{u} {w}" for u, w in pairs]
+            assert format_edge_list(graph) == "\n".join(lines) + "\n", inst
+            roles = {str(v): meta.role_of(v) for v in range(graph.n)}
+            assert meta.to_sidecar_json() == json.dumps(
+                {"budget": meta.budget, "roles": roles}), inst
+
+
+class TestCapBeforeGadget:
+    @pytest.fixture
+    def no_gadget(self, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("gadget built before the cap check")
+
+        monkeypatch.setattr(npc, "build_gadget", refuse)
+
+    def test_over_cap_refused_before_building(self, no_gadget):
+        inst = X3CInstance(6, ((0, 1, 2), (3, 4, 5), (1, 2, 3)))  # 27 vertices
+        for call in (lambda: decide_x3c(inst, "via_gadget", max_n=26),
+                     lambda: minimum_gadget_witness(inst, max_n=26),
+                     lambda: check_gadget_cap(inst, max_n=26)):
+            with pytest.raises(GraphTooLargeError, match="27 vertices, cap is 26"):
+                call()
+        check_gadget_cap(inst, max_n=27)
+        check_gadget_cap(inst, max_n=26, force=True)
+        with pytest.raises(ValueError, match="non-negative"):
+            check_gadget_cap(inst, max_n=-1, force=True)
+
+    def test_uncovered_element_answers_before_the_cap(self, no_gadget):
+        inst = X3CInstance(6, ((0, 1, 2), (2, 3, 4)))
+        assert decide_x3c(inst, "via_gadget", max_n=1) is False
+
+    def test_force_lifts_the_cap(self):
+        inst = X3CInstance(3, ((0, 1, 2),))
+        assert decide_x3c(inst, "via_gadget", max_n=5, force=True)
+        assert minimum_gadget_witness(inst, max_n=5, force=True).gamma == 3
 
 
 class TestCoverToWitness:

@@ -15,6 +15,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
     random_high_max_degree_graph,
+    x3c_catalog,
 )
 from test_graphs import graphs_strategy
 
@@ -352,10 +353,7 @@ class TestPackingBound:
                 return super().run(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "_Search", Recorded)
-        catalog = [X3CInstance(3, ((0, 1, 2),))]
-        triples = list(combinations(range(6), 3))
-        for count in (1, 2, 3):
-            catalog += [X3CInstance(6, sets) for sets in combinations(triples, count)]
+        catalog = x3c_catalog()
         assert len(catalog) == 1351
         answers = [decide_x3c(inst) for inst in catalog]
         assert answers == [decide_x3c(inst, "brute_force") for inst in catalog]
