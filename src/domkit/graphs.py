@@ -30,7 +30,7 @@ def check_vertex_cap(n: int, cap: int) -> None:
     """Raise ``GraphTooLargeError`` when ``n`` vertices exceed ``cap``."""
     if n > cap:
         raise GraphTooLargeError(
-            f"graph has {n} vertices, cap is {cap} (pass force=True to override)"
+            f"graph has {n} vertices, cap is {cap} (pass force=True or --force to override)"
         )
 
 

@@ -491,20 +491,20 @@ def corollary_value(family_g: str, family_h: str, n: int, m: int, kind: str) -> 
 
 
 def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
-                          max_n: int | None = None, force: bool = False) -> DiscrepancyReport:
+                          force: bool = False) -> DiscrepancyReport:
     """Compare a product-gamma prediction with the explicit-product oracle.
 
     Never asserts: the report carries both values, both witnesses, and the
-    agreement flag for the caller to judge.  An over-cap product is refused
-    before the prediction runs.  The oracle takes the predicted value as its
-    ``guess`` (n + 1 when no set is predicted), which changes its search
-    effort but never its answer.
+    agreement flag for the caller to judge.  Unless ``force``, which reaches
+    every factor solve, an over-cap product is refused before the prediction
+    runs.  The oracle takes the predicted value as its ``guess`` (n + 1 when
+    no set is predicted), which changes its search effort but never its answer.
     """
-    check_cap(g.n * h.n, max_n, force)
+    check_cap(g.n * h.n, force)
     analysis = product_gamma(g, h, kind, k, force=force)
     product, idx = lex_product(g, h)
     guess = product.n + 1 if analysis.predicted_gamma is None else analysis.predicted_gamma
-    r = min_set(product, oracle_kind(kind, k), guess=guess, max_n=max_n, force=force)
+    r = min_set(product, oracle_kind(kind, k), guess=guess, force=force)
     agree = analysis.predicted_gamma == r.gamma and analysis.membership == r.exists
     profile = analysis.layer_profile
     if profile is None and r.witness is not None:
@@ -523,11 +523,10 @@ def verify_against_oracle(g: Graph, h: Graph, kind: str, k: int = 2, *,
 
 
 def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2, *,
-                                     max_n: int | None = None,
                                      force: bool = False) -> DiscrepancyReport:
     """Compare a membership characterization with oracle existence on the
-    product; an over-cap product is refused before the characterization runs."""
-    check_cap(g.n * h.n, max_n, force)
+    product; the cap and ``force`` act as in ``verify_against_oracle``."""
+    check_cap(g.n * h.n, force)
     if which == "total":
         analysis = characterize_total(g, h, k, force=force)
         target = total_one_k(k)
@@ -537,7 +536,7 @@ def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2,
     else:
         raise ValueError(f"unknown characterization {which!r}")
     product, _ = lex_product(g, h)
-    found = exists_set(product, target, max_n=max_n, force=force)
+    found = exists_set(product, target, force=force)
     return DiscrepancyReport(
         kind=f"characterize_{which}",
         k=k,

@@ -93,10 +93,9 @@ class GadgetMeta:
         return f'{{"budget": {self.budget}, "roles": {{{", ".join(roles)}}}}}'
 
 
-def check_gadget_cap(inst: X3CInstance, max_n: int | None = None,
-                     force: bool = False) -> None:
+def check_gadget_cap(inst: X3CInstance, force: bool = False) -> None:
     """``solvers.check_cap`` on the gadget's 7t + 3q vertices, before it is built."""
-    check_cap(7 * inst.num_sets + inst.universe_size, max_n, force)
+    check_cap(7 * inst.num_sets + inst.universe_size, force)
 
 
 def build_gadget(inst: X3CInstance) -> tuple[Graph, GadgetMeta]:
@@ -173,8 +172,14 @@ def witness_to_cover(inst: X3CInstance, meta: GadgetMeta,
     return chosen
 
 
+def _covers_universe(inst: X3CInstance) -> bool:
+    return len({x for triple in inst.sets for x in triple}) == inst.universe_size
+
+
 def _has_exact_cover(inst: X3CInstance) -> bool:
-    """Brute force over all 2^t subcollections."""
+    """Brute force over all 2^t subcollections, once every element is in some set."""
+    if not _covers_universe(inst):
+        return False
     t = inst.num_sets
     for bits in range(1 << t):
         hits = [0] * inst.universe_size
@@ -187,36 +192,32 @@ def _has_exact_cover(inst: X3CInstance) -> bool:
     return False
 
 
-def decide_x3c(inst: X3CInstance, mode: str = "via_gadget", *,
-               max_n: int | None = None, force: bool = False) -> bool:
+def decide_x3c(inst: X3CInstance, mode: str = "via_gadget", *, force: bool = False) -> bool:
     """Decide Exact-3-Cover either by direct enumeration or via the gadget.
 
-    ``via_gadget`` checks the gadget's size against the cap (``max_n``,
-    ``force``) before it builds anything; ``brute_force`` has no cap.
+    ``via_gadget`` checks the gadget's size against the cap (``resolve_cap``,
+    unless ``force``) before it builds anything; ``brute_force`` has no cap.
+    Both answer "no" at once when some element lies in no set.
     """
     if mode == "brute_force":
         return _has_exact_cover(inst)
     if mode != "via_gadget":
         raise ValueError(f"unknown mode {mode!r}")
-    covered = {x for triple in inst.sets for x in triple}
-    if len(covered) < inst.universe_size:
-        # an uncovered element would be an isolated gadget vertex
-        return False
-    check_gadget_cap(inst, max_n, force)
+    if not _covers_universe(inst):
+        return False  # an uncovered element would be an isolated gadget vertex
+    check_gadget_cap(inst, force)
     graph, meta = build_gadget(inst)
-    return exists_set(graph, total_one_k(2), limit=meta.budget,
-                      max_n=max_n, force=force)
+    return exists_set(graph, total_one_k(2), limit=meta.budget, force=force)
 
 
-def minimum_gadget_witness(inst: X3CInstance, *, max_n: int | None = None,
-                           force: bool = False):
+def minimum_gadget_witness(inst: X3CInstance, *, force: bool = False):
     """Exact minimum total [1,2]-set of the gadget (for budget-tightness checks).
 
     The cap is checked before the gadget is built.
     """
-    check_gadget_cap(inst, max_n, force)
+    check_gadget_cap(inst, force)
     graph, _ = build_gadget(inst)
-    return min_set(graph, total_one_k(2), max_n=max_n, force=force)
+    return min_set(graph, total_one_k(2), force=force)
 
 
 # -- instance JSON ------------------------------------------------------------

@@ -107,28 +107,27 @@ from .graphs import (  # noqa: F401 (GraphTooLargeError is re-exported)
 DEFAULT_MAX_N = 32
 
 
-def resolve_cap(max_n: int | None = None) -> int:
-    """Solver vertex cap: explicit argument, else DOMKIT_MAX_N, else 32.
+def resolve_cap() -> int:
+    """Solver vertex cap: DOMKIT_MAX_N, else 32.
 
     Raises ``ValueError`` for a cap that is not a non-negative integer.
     """
-    if max_n is None:
-        env = os.environ.get("DOMKIT_MAX_N")
-        if env is None:
-            return DEFAULT_MAX_N
-        try:
-            max_n = int(env)
-        except ValueError:
-            raise ValueError(f"DOMKIT_MAX_N must be an integer, got {env!r}") from None
-    if max_n < 0:
-        raise ValueError(f"the vertex cap must be non-negative, got {max_n}")
-    return max_n
+    env = os.environ.get("DOMKIT_MAX_N")
+    if env is None:
+        return DEFAULT_MAX_N
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"DOMKIT_MAX_N must be an integer, got {env!r}") from None
+    if cap < 0:
+        raise ValueError(f"the vertex cap must be non-negative, got {cap}")
+    return cap
 
 
-def check_cap(n: int, max_n: int | None = None, force: bool = False) -> None:
+def check_cap(n: int, force: bool = False) -> None:
     """Raise ``GraphTooLargeError`` when ``n`` vertices exceed the solver cap
-    (``resolve_cap(max_n)``), unless ``force``; the cap is validated either way."""
-    cap = resolve_cap(max_n)
+    (``resolve_cap()``), unless ``force``; the cap is validated either way."""
+    cap = resolve_cap()
     if not force:
         check_vertex_cap(n, cap)
 
@@ -452,13 +451,14 @@ class _Search:
 
 
 def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int = 0,
-            max_n: int | None = None, force: bool = False) -> SolveResult:
+            force: bool = False) -> SolveResult:
     """Exact minimum set of the given kind, or nonexistence.
 
     Iterates target sizes 0, 1, 2, ... and returns the lexicographically
     smallest witness at the first feasible size.  With ``limit`` the search
     stops after that cardinality and reports ``exists=False`` when nothing
-    was found within it; a negative ``limit`` raises ``ValueError``.
+    was found within it; a negative ``limit`` raises ``ValueError``.  Above
+    the cap (``resolve_cap``) it raises ``GraphTooLargeError`` unless ``force``.
 
     A ``guess`` g >= 1 is an expected minimum size.  One variable-size sweep
     (``exists_set``'s) first asks whether any set of fewer than g members
@@ -490,7 +490,7 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     _check_limit(limit)
     if guess < 0:
         raise ValueError(f"the guess must be non-negative, got {guess}")
-    check_cap(graph.n, max_n, force)
+    check_cap(graph.n, force)
     search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
     found: list[int] = []
@@ -513,17 +513,17 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
 
 
 def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
-               max_n: int | None = None, force: bool = False) -> bool:
+               force: bool = False) -> bool:
     """True iff some vertex set of the kind exists (within ``limit`` if given).
 
     Uses a single variable-size sweep rather than cardinality-ordered search,
     so it is the cheaper query when only existence matters.  A limit below n
     that a greedy packing exceeds is answered False before any search, since
     no set has fewer members than the packing has vertices.  A negative
-    ``limit`` raises ``ValueError``.
+    ``limit`` raises ``ValueError``; the cap is that of ``min_set``.
     """
     _check_limit(limit)
-    check_cap(graph.n, max_n, force)
+    check_cap(graph.n, force)
     search = _Search(graph, kind, break_twins=True)
     top = graph.n if limit is None else min(limit, graph.n)
     if top < graph.n and search.packing().bit_count() > top:
@@ -532,12 +532,11 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
 
 
 def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
-                    on_solution: Callable[[int], bool], *, near: list[int] | None = None,
-                    max_n: int | None = None, force: bool = False) -> int:
+                    on_solution: Callable[[int], bool], *, near: list[int] | None = None) -> int:
     """Invoke the callback on every satisfying set of ``min_size..max_size``
     members, as a bitmask: sizes ascending, lexicographic order within a
     size.  The callback returns True to stop early.  Returns the number of
-    search nodes explored.
+    search nodes explored.  Above the cap it raises ``GraphTooLargeError``.
 
     Given the graph's ``near`` masks (``domsets.near_masks``), the search
     applies the scattered cut and lists a superset of the scattered sets,
@@ -546,21 +545,19 @@ def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
     """
     if min_size < 0:
         raise ValueError("size must be non-negative")
-    check_cap(graph.n, max_n, force)
+    check_cap(graph.n)
     search = _Search(graph, kind, near=near)
     search.run(min_size, max_size, on_solution)
     return search.nodes
 
 
 def enumerate_sets(graph: Graph, kind: SetKind, size: int,
-                   on_solution: Callable[[frozenset[int]], bool], *,
-                   max_n: int | None = None, force: bool = False) -> int:
+                   on_solution: Callable[[frozenset[int]], bool]) -> int:
     """Invoke the callback on every satisfying set of the exact size, in
     lexicographic order; the callback returns True to stop early.  Returns
     the number of search nodes explored."""
     return enumerate_masks(graph, kind, size, size,
-                           lambda mask: on_solution(frozenset(mask_to_ids(mask))),
-                           max_n=max_n, force=force)
+                           lambda mask: on_solution(frozenset(mask_to_ids(mask))))
 
 
 def check_closed_form_k(k: int) -> None:

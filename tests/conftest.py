@@ -148,3 +148,18 @@ def x3c_catalog() -> list:
     for count in (1, 2, 3):
         catalog += [X3CInstance(6, sets) for sets in combinations(triples, count)]
     return catalog
+
+
+def exact_covers(inst) -> list[int]:
+    """Bitmasks of the subcollections of ``inst.sets`` that hit every element
+    exactly once, ascending."""
+    covers = []
+    for bits in range(1 << inst.num_sets):
+        hits = [0] * inst.universe_size
+        for i, triple in enumerate(inst.sets):
+            if bits >> i & 1:
+                for x in triple:
+                    hits[x] += 1
+        if all(c == 1 for c in hits):
+            covers.append(bits)
+    return covers

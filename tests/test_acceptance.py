@@ -11,6 +11,7 @@ from itertools import combinations
 
 from conftest import (
     brute_min,
+    exact_covers,
     high_max_degree_catalog,
     naive_satisfies,
     nonisomorphic_trees,
@@ -21,7 +22,7 @@ from conftest import (
 from domkit.domsets import independent_one_k, one_k, total_dominating, total_one_k
 from domkit.graphs import Graph, build_standard, complement, is_connected, lex_product
 from domkit.lex_theory import corollary_value, verify_membership_against_oracle
-from domkit.npc import X3CInstance, build_gadget, cover_to_witness, decide_x3c
+from domkit.npc import build_gadget, cover_to_witness, decide_x3c
 from domkit.solvers import closed_form, exists_set, min_set
 
 SEED = 0xACCE97
@@ -181,26 +182,14 @@ def test_a6_reduction_equivalence():
         if brute != via:
             failures.append(("mode mismatch", inst.sets, brute, via))
         if brute:
-            cover = next(
-                frozenset(ix for ix in range(inst.num_sets) if bits >> ix & 1)
-                for bits in range(1 << inst.num_sets)
-                if _is_exact_cover(inst, bits)
-            )
+            bits = exact_covers(inst)[0]
+            cover = frozenset(ix for ix in range(inst.num_sets) if bits >> ix & 1)
             witness = cover_to_witness(inst, meta, cover)
             if len(witness) != 2 * inst.num_sets + inst.q:
                 failures.append(("bad witness size", inst.sets, len(witness)))
         examined += 1
     print(f"[A6] examined {examined} instances")
     _report("A6", "gadget decision equals direct decision on every instance", failures)
-
-
-def _is_exact_cover(inst: X3CInstance, bits: int) -> bool:
-    hits = [0] * inst.universe_size
-    for i in range(inst.num_sets):
-        if bits >> i & 1:
-            for x in inst.sets[i]:
-                hits[x] += 1
-    return all(c == 1 for c in hits)
 
 
 def test_a7_special_graph_lemmas():

@@ -424,6 +424,7 @@ class TestReduceAndDecide:
         for mode in ("both", "via_gadget"):
             code, out, err = run(capsys, "decide-x3c", eighteen_sets, "--mode", mode)
             assert (code, out) == (3, "") and "135 vertices, cap is 32" in err
+            assert "--force" in err
         gadget, meta = tmp_path / "g.el", tmp_path / "m.json"
         code, out, err = run(capsys, "reduce", eighteen_sets, "-o", str(gadget),
                              "--meta", str(meta))
@@ -447,6 +448,14 @@ class TestReduceAndDecide:
         # the brute force alone has no cap
         code, out, _ = run(capsys, "decide-x3c", str(inst), "--mode", "brute_force")
         assert code == 0 and json.loads(out)["brute_force"] is True
+
+    def test_uncovered_element_skips_the_brute_force(self, tmp_path, capsys):
+        inst = tmp_path / "copies.json"  # 2^24 subcollections; elements 3..5 in no set
+        inst.write_text(json.dumps({"universe": 6, "sets": [[0, 1, 2]] * 24}))
+        code, out, _ = run(capsys, "decide-x3c", str(inst))
+        assert code == 0 and json.loads(out) == {
+            "universe": 6, "num_sets": 24, "brute_force": False, "via_gadget": False,
+            "agree": True}
 
     def test_decide_both_modes(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

@@ -666,12 +666,14 @@ class TestVerifyAgainstOracle:
         g, h = P(17), P(2)  # 34 product vertices, above the default cap of 32
         for check in (lambda: verify_against_oracle(g, h, "one_2"),
                       lambda: verify_membership_against_oracle(g, h, "total"),
-                      lambda: verify_membership_against_oracle(g, h, "independent"),
-                      lambda: verify_against_oracle(P(3), P(2), "plain", max_n=5)):
+                      lambda: verify_membership_against_oracle(g, h, "independent")):
             with pytest.raises(GraphTooLargeError):
                 check()
+        monkeypatch.setenv("DOMKIT_MAX_N", "5")
+        with pytest.raises(GraphTooLargeError):
+            verify_against_oracle(P(3), P(2), "plain")
         assert calls == []
-        assert verify_against_oracle(P(3), P(2), "plain", max_n=5, force=True).agree
+        assert verify_against_oracle(P(3), P(2), "plain", force=True).agree
         assert calls
 
     def test_force_reaches_every_factor_solve(self, monkeypatch):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import x3c_catalog
+from conftest import exact_covers, x3c_catalog
 
 from domkit import npc
 from domkit.domsets import satisfies, total_one_k
@@ -164,26 +164,31 @@ class TestCapBeforeGadget:
 
         monkeypatch.setattr(npc, "build_gadget", refuse)
 
-    def test_over_cap_refused_before_building(self, no_gadget):
+    def test_over_cap_refused_before_building(self, no_gadget, monkeypatch):
         inst = X3CInstance(6, ((0, 1, 2), (3, 4, 5), (1, 2, 3)))  # 27 vertices
-        for call in (lambda: decide_x3c(inst, "via_gadget", max_n=26),
-                     lambda: minimum_gadget_witness(inst, max_n=26),
-                     lambda: check_gadget_cap(inst, max_n=26)):
+        monkeypatch.setenv("DOMKIT_MAX_N", "26")
+        for call in (lambda: decide_x3c(inst, "via_gadget"),
+                     lambda: minimum_gadget_witness(inst),
+                     lambda: check_gadget_cap(inst)):
             with pytest.raises(GraphTooLargeError, match="27 vertices, cap is 26"):
                 call()
-        check_gadget_cap(inst, max_n=27)
-        check_gadget_cap(inst, max_n=26, force=True)
+        check_gadget_cap(inst, force=True)
+        monkeypatch.setenv("DOMKIT_MAX_N", "27")
+        check_gadget_cap(inst)
+        monkeypatch.setenv("DOMKIT_MAX_N", "-1")
         with pytest.raises(ValueError, match="non-negative"):
-            check_gadget_cap(inst, max_n=-1, force=True)
+            check_gadget_cap(inst, force=True)
 
-    def test_uncovered_element_answers_before_the_cap(self, no_gadget):
+    def test_uncovered_element_answers_before_the_cap(self, no_gadget, monkeypatch):
         inst = X3CInstance(6, ((0, 1, 2), (2, 3, 4)))
-        assert decide_x3c(inst, "via_gadget", max_n=1) is False
+        monkeypatch.setenv("DOMKIT_MAX_N", "1")
+        assert decide_x3c(inst, "via_gadget") is False
 
-    def test_force_lifts_the_cap(self):
+    def test_force_lifts_the_cap(self, monkeypatch):
         inst = X3CInstance(3, ((0, 1, 2),))
-        assert decide_x3c(inst, "via_gadget", max_n=5, force=True)
-        assert minimum_gadget_witness(inst, max_n=5, force=True).gamma == 3
+        monkeypatch.setenv("DOMKIT_MAX_N", "5")
+        assert decide_x3c(inst, "via_gadget", force=True)
+        assert minimum_gadget_witness(inst, force=True).gamma == 3
 
 
 class TestCoverToWitness:
@@ -259,6 +264,14 @@ class TestDecide:
         inst = X3CInstance(6, ((0, 1, 2), (2, 3, 4), (1, 4, 5)))
         assert not decide_x3c(inst, "brute_force")
         assert not decide_x3c(inst, "via_gadget")
+
+    def test_brute_force_matches_the_exact_cover_count(self):
+        uncovered = [X3CInstance(6, ((0, 1, 2),) * t) for t in (2, 5, 9)]
+        uncovered += [X3CInstance(9, ((0, 1, 2), (3, 4, 5), (0, 4, 8), (1, 3, 6)))]
+        for inst in x3c_catalog() + uncovered:
+            assert decide_x3c(inst, "brute_force") is bool(exact_covers(inst)), inst
+        # 2^24 subcollections, none tried: element 3 lies in no set
+        assert decide_x3c(X3CInstance(6, ((0, 1, 2),) * 24), "brute_force") is False
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

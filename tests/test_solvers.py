@@ -45,7 +45,7 @@ from domkit.graphs import (
     mask_to_ids,
 )
 from domkit import lex_theory, solvers
-from domkit.npc import X3CInstance, build_gadget, decide_x3c
+from domkit.npc import X3CInstance, build_gadget, decide_x3c, minimum_gadget_witness
 from domkit.solvers import (
     GraphTooLargeError,
     _Search,
@@ -805,6 +805,28 @@ class TestSpecialGraphLemmas:
         assert checked > 30
 
 
+_P2, _P3, _P6 = (build_standard("path", n) for n in (2, 3, 6))
+_ONE_SET = X3CInstance(3, ((0, 1, 2),))  # its gadget has 7 + 3 vertices
+
+# entry point -> (vertices its cap check sees, call); the predictions' cap
+# checks are those of their factor solves on G = P6.
+CAPPED_ENTRY_POINTS = {
+    "min_set": (6, lambda **kw: min_set(_P6, one_k(2), **kw)),
+    "exists_set": (6, lambda **kw: exists_set(_P6, one_k(2), **kw)),
+    "enumerate_masks": (6, lambda: enumerate_masks(_P6, one_k(2), 0, 6, lambda m: False)),
+    "verify_against_oracle": (
+        6, lambda **kw: lex_theory.verify_against_oracle(_P3, _P2, "plain", **kw)),
+    "verify_membership_against_oracle": (
+        6, lambda **kw: lex_theory.verify_membership_against_oracle(_P3, _P2, "total", **kw)),
+    "decide_x3c": (10, lambda **kw: decide_x3c(_ONE_SET, "via_gadget", **kw)),
+    "minimum_gadget_witness": (10, lambda **kw: minimum_gadget_witness(_ONE_SET, **kw)),
+    "product_gamma": (6, lambda **kw: lex_theory.product_gamma(_P6, _P2, "plain", **kw)),
+    "characterize_total": (6, lambda **kw: lex_theory.characterize_total(_P6, _P2, **kw)),
+    "characterize_independent": (
+        6, lambda **kw: lex_theory.characterize_independent(_P6, _P2, **kw)),
+}
+
+
 class TestDeterminismAndCap:
     def test_repeat_runs_identical(self):
         g = build_standard("cycle", 9)
@@ -840,14 +862,11 @@ class TestDeterminismAndCap:
 
     def test_negative_cap_rejected(self, monkeypatch):
         p5 = build_standard("path", 5)
-        for call in (lambda: min_set(p5, dominating(), max_n=-1),
-                     lambda: exists_set(p5, dominating(), max_n=-1)):
-            with pytest.raises(ValueError, match="non-negative") as info:
-                call()
-            assert not isinstance(info.value, GraphTooLargeError)
         monkeypatch.setenv("DOMKIT_MAX_N", "-3")
-        with pytest.raises(ValueError, match="non-negative"):
-            min_set(p5, dominating())
+        for call in (min_set, exists_set):
+            with pytest.raises(ValueError, match="non-negative") as info:
+                call(p5, dominating())
+            assert not isinstance(info.value, GraphTooLargeError)
         monkeypatch.setenv("DOMKIT_MAX_N", "0")
         with pytest.raises(GraphTooLargeError):
             min_set(p5, dominating())
@@ -860,6 +879,17 @@ class TestDeterminismAndCap:
             assert min_set(g, dominating(), limit=0).exists is (g.n == 0)
             assert exists_set(g, dominating(), limit=0) is (g.n == 0)
 
-    def test_explicit_cap_argument(self):
-        with pytest.raises(GraphTooLargeError):
-            min_set(build_standard("path", 6), one_k(2), max_n=5)
+    @pytest.mark.parametrize("entry", sorted(CAPPED_ENTRY_POINTS))
+    def test_env_cap_reaches_every_entry_point(self, monkeypatch, entry):
+        n, call = CAPPED_ENTRY_POINTS[entry]
+        force = {} if entry == "enumerate_masks" else {"force": True}  # the one without force
+        monkeypatch.setenv("DOMKIT_MAX_N", str(n))
+        at_cap = call()
+        monkeypatch.setenv("DOMKIT_MAX_N", str(n - 1))
+        with pytest.raises(GraphTooLargeError, match=f"{n} vertices, cap is {n - 1}"):
+            call()
+        if force:
+            assert call(**force) == at_cap
+        monkeypatch.setenv("DOMKIT_MAX_N", "-1")  # validated even under force
+        with pytest.raises(ValueError, match="non-negative"):
+            call(**force)
