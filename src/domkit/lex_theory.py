@@ -30,7 +30,7 @@ from .domsets import (
     total_one_k,
 )
 from .graphs import Graph, is_connected, lex_product, mask_to_ids
-from .solvers import GraphTooLargeError, check_cap, enumerate_masks, exists_set, min_set
+from .solvers import GraphTooLargeError, _Search, check_cap, exists_set, min_set
 
 # product kind -> the set kind its predictions are measured against, given k
 _PRODUCT_KINDS = {
@@ -100,7 +100,8 @@ class DiscrepancyReport(_Record):
 _SD_SCAN_CAP = 20  # subset scans are only ever run on factor graphs
 
 
-def _sd_scan(graph: Graph, j: int, k: int, weight: int) -> tuple[int, int] | None:
+def _sd_scan(graph: Graph, j: int, k: int, weight: int,
+             force: bool) -> tuple[int, int] | None:
     """Minimum of |S| + (weight - 1) * alpha(S) over scattered j-dependent
     [1,k]-sets S, where ``alpha`` counts members with no in-set neighbor.
 
@@ -110,12 +111,14 @@ def _sd_scan(graph: Graph, j: int, k: int, weight: int) -> tuple[int, int] | Non
     answer is that of the full scan.  Sizes only grow along the listing, so it
     stops at the first set of size >= the best value, and at a scattered set
     whose value is its size; with weight 1 that is the first scattered set.
+    The solver cap applies unless ``force``; ``_SD_SCAN_CAP`` always does.
     """
     if graph.n > _SD_SCAN_CAP:
         raise GraphTooLargeError(
             f"scattered-set scan needs n <= {_SD_SCAN_CAP}, got {graph.n}"
             "; --force does not lift this limit"
         )
+    check_cap(graph.n, force)
     adj = graph.neighbor_masks
     near = near_masks(adj)
     scattered = scattered_test(graph, near)
@@ -132,20 +135,22 @@ def _sd_scan(graph: Graph, j: int, k: int, weight: int) -> tuple[int, int] | Non
             best[:] = [value, s]
         return value == size
 
-    enumerate_masks(graph, j_dependent_one_k(j, k), 0, graph.n, consider, near=near)
+    _Search(graph, j_dependent_one_k(j, k), near=near).run(0, graph.n, consider)
     return (best[0], best[1]) if best else None
 
 
-def first_sd_set(graph: Graph, j: int, k: int) -> frozenset[int] | None:
+def first_sd_set(graph: Graph, j: int, k: int, *,
+                 force: bool = False) -> frozenset[int] | None:
     """Smallest (then lexicographically first) scattered j-dependent [1,k]-set."""
-    found = _sd_scan(graph, j, k, 1)
+    found = _sd_scan(graph, j, k, 1, force)
     return frozenset(mask_to_ids(found[1])) if found else None
 
 
-def min_sd_size_plus_alpha(graph: Graph, j: int, k: int) -> tuple[int, frozenset[int]] | None:
+def min_sd_size_plus_alpha(graph: Graph, j: int, k: int, *,
+                           force: bool = False) -> tuple[int, frozenset[int]] | None:
     """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S, with the
     first set achieving it, or None when no such set exists."""
-    found = _sd_scan(graph, j, k, 2)
+    found = _sd_scan(graph, j, k, 2, force)
     return (found[0], frozenset(mask_to_ids(found[1]))) if found else None
 
 
@@ -247,7 +252,7 @@ def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -
         r_eff = min_set(g, efficient(), force=force)
         if r_eff.exists:
             return _finish(g, h, t1k_kind, (r_eff.witness, t), True, 3, None)
-        sd = first_sd_set(g, k - 1, k)
+        sd = first_sd_set(g, k - 1, k, force=force)
         if sd is not None:
             return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), True, 4, None)
     if h_total.exists and h_total.gamma <= k // 2:
@@ -386,7 +391,7 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAna
         if r_gt.exists:
             candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
         if r_h.gamma == 2:
-            sd = min_sd_size_plus_alpha(g, 2, 2)
+            sd = min_sd_size_plus_alpha(g, 2, 2, force=force)
             if sd is not None:
                 value, members = sd
                 # the isolated vertex sits in every [1,2]-set of H
@@ -403,7 +408,7 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAna
     if r_dept.exists:
         candidates.append((r_dept.gamma, "case2b", (r_dept.witness, (0,))))
     if r_h.gamma == 2:
-        sd = min_sd_size_plus_alpha(g, 1, 2)
+        sd = min_sd_size_plus_alpha(g, 1, 2, force=force)
         if sd is not None:
             value, members = sd
             candidates.append((value, "case2c", (members, pair_h[:1], pair_h[1:])))
@@ -427,7 +432,7 @@ def _total_one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> Prod
     # for it must be an edge of H that dominates H, whatever gamma_[1,2](H) is.
     pair = min_set(h, total_one_k(2), limit=2, force=force)
     if pair.exists:
-        sd = min_sd_size_plus_alpha(g, 1, 2)
+        sd = min_sd_size_plus_alpha(g, 1, 2, force=force)
         if sd is not None:
             value, members = sd
             candidates.append((value, "case2b", (members, pair.witness[:1], pair.witness[1:])))

@@ -177,9 +177,7 @@ def _covers_universe(inst: X3CInstance) -> bool:
 
 
 def _has_exact_cover(inst: X3CInstance) -> bool:
-    """Brute force over all 2^t subcollections, once every element is in some set."""
-    if not _covers_universe(inst):
-        return False
+    """Brute force over all 2^t subcollections."""
     t = inst.num_sets
     for bits in range(1 << t):
         hits = [0] * inst.universe_size
@@ -195,17 +193,17 @@ def _has_exact_cover(inst: X3CInstance) -> bool:
 def decide_x3c(inst: X3CInstance, mode: str = "via_gadget", *, force: bool = False) -> bool:
     """Decide Exact-3-Cover either by direct enumeration or via the gadget.
 
-    ``via_gadget`` checks the gadget's size against the cap (``resolve_cap``,
-    unless ``force``) before it builds anything; ``brute_force`` has no cap.
-    Both answer "no" at once when some element lies in no set.
+    Both answer "no" at once when some element lies in no set.  Otherwise
+    both check the gadget's size against the cap (``resolve_cap``, unless
+    ``force``) before any exponential work, so they refuse the same instances.
     """
-    if mode == "brute_force":
-        return _has_exact_cover(inst)
-    if mode != "via_gadget":
+    if mode not in ("brute_force", "via_gadget"):
         raise ValueError(f"unknown mode {mode!r}")
     if not _covers_universe(inst):
         return False  # an uncovered element would be an isolated gadget vertex
     check_gadget_cap(inst, force)
+    if mode == "brute_force":
+        return _has_exact_cover(inst)
     graph, meta = build_gadget(inst)
     return exists_set(graph, total_one_k(2), limit=meta.budget, force=force)
 

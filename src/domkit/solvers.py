@@ -38,8 +38,8 @@ smallest minimum witness thus never breaks the rule, so every answer and
 witness is that of the full search; only ``nodes_explored`` falls.
 ``enumerate_masks`` and ``enumerate_sets`` list every set, without the cut.
 
-The scattered-set scans of ``lex_theory`` pass the graph's ``near`` masks
-(vertices at distance 1 or 2) to ``enumerate_masks``, which then applies the
+The scattered-set scans of ``lex_theory`` build a ``_Search`` with the
+graph's ``near`` masks (vertices at distance 1 or 2), which then applies the
 scattered cut.  A member is settled once no candidate after the last pick
 is its neighbor, and lonely while it has no in-set neighbor; a settled
 lonely member stays lonely in every extension, so once another member lies
@@ -532,21 +532,16 @@ def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,
 
 
 def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
-                    on_solution: Callable[[int], bool], *, near: list[int] | None = None) -> int:
+                    on_solution: Callable[[int], bool]) -> int:
     """Invoke the callback on every satisfying set of ``min_size..max_size``
     members, as a bitmask: sizes ascending, lexicographic order within a
     size.  The callback returns True to stop early.  Returns the number of
     search nodes explored.  Above the cap it raises ``GraphTooLargeError``.
-
-    Given the graph's ``near`` masks (``domsets.near_masks``), the search
-    applies the scattered cut and lists a superset of the scattered sets,
-    not every set: it skips only sets that no extension makes scattered,
-    but a listed set may still fail the scattered test.
     """
     if min_size < 0:
         raise ValueError("size must be non-negative")
     check_cap(graph.n)
-    search = _Search(graph, kind, near=near)
+    search = _Search(graph, kind)
     search.run(min_size, max_size, on_solution)
     return search.nodes
 

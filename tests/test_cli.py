@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from domkit import cli, graphs, npc
-from domkit.cli import KIND_TOKENS, _build_parser, main
+from domkit.cli import COMMANDS, KIND_TOKENS, main
 from domkit.graphs import (
     build_standard,
     format_edge_list,
@@ -39,14 +39,92 @@ class TestParserReuse:
     def test_one_parser_serves_every_call(self, capsys, c5_file):
         calls = (("solve", c5_file, "--kind", "nope"), ("--help",),
                  ("solve", c5_file, "--kind", "t1k", "--k", "2"))
-        first = []
-        for argv in calls:
-            _build_parser.cache_clear()
-            first.append(run(capsys, *argv))
+        first = [run(capsys, *argv) for argv in calls]
         assert [code for code, _, _ in first] == [64, 0, 0]
-        _build_parser.cache_clear()
         assert [run(capsys, *argv) for argv in calls] == first
-        assert _build_parser() is _build_parser()
+
+
+def _fill(argv, **paths):
+    return [paths.get(word, word) for word in argv]
+
+
+class TestParser:
+    """The command table's parser: help, usage errors and the argv forms that
+    name the same option.  C5, C4 and OUT stand for files made per test."""
+
+    @pytest.mark.parametrize("argv", [
+        ("-h",), ("--help",), ("--he",), ("--bogus", "-h"),
+        *((command, flag) for command in COMMANDS for flag in ("-h", "--help")),
+        ("solve", "C5", "--kind", "dom", "--help"),  # after a complete command line
+        ("solve", "C5", "--bogus", "-h"),  # before the word is reported
+        ("gen", "-h", "hypercube"),
+    ])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: domkit")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((), "the following arguments are required: command"),
+        (("nope",), "argument command: invalid choice: 'nope'"),
+        (("solve", "C5", "--kind", "dom", "--bogus"), "unrecognized arguments: --bogus"),
+        (("solve", "C5"), "the following arguments are required: --kind"),
+        (("solve", "--kind", "dom"), "the following arguments are required: graph"),
+        (("theorem", "total", "C5"), "the following arguments are required: h"),
+        (("solve", "C5", "C4", "--kind", "dom"), "unrecognized arguments: C4"),
+        (("gen", "path", "x"), "argument n: invalid int value: 'x'"),
+        (("solve", "C5", "--kind", "dom", "--k", "2.5"), "argument --k: invalid int value: '2.5'"),
+        (("solve", "C5", "--kind", "nope"), "argument --kind: invalid choice: 'nope'"),
+        (("gen", "hypercube", "4"), "argument family: invalid choice: 'hypercube'"),
+        (("solve", "C5", "--kind"), "argument --kind: expected one argument"),
+        (("reduce", "C5", "-o", "--force"), "argument -o/--output: expected one argument"),
+        (("solve", "C5", "--kind", "dom", "--pretty=1"),
+         "argument --pretty: ignored explicit argument '1'"),
+        (("solve", "--", "C5", "--kind", "dom"), "the following arguments are required: --kind"),
+    ])
+    def test_usage_errors_exit_64(self, capsys, c5_file, c4_file, argv, message):
+        code, out, err = run(capsys, *_fill(argv, C5=c5_file, C4=c4_file))
+        assert (code, out) == (64, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: domkit") and error.startswith("error: ")
+        assert message.replace("C4", c4_file) in error
+
+    def test_ambiguous_prefix_exits_64(self, capsys, monkeypatch, c5_file):
+        # no two long options of a command share a prefix, so add one that does
+        solve = COMMANDS["solve"]
+        prefix = solve.options[-1]._replace(names=("--prefix",))
+        monkeypatch.setitem(COMMANDS, "solve", solve._replace(options=(*solve.options, prefix)))
+        code, out, err = run(capsys, "solve", c5_file, "--kind", "dom", "--pre")
+        assert (code, out) == (64, "") and err.startswith("usage: domkit solve")
+        assert "error: ambiguous option: --pre could match --pretty, --prefix" in err
+        assert run(capsys, "solve", c5_file, "--kind", "dom", "--pretty")[0] == 0
+
+    @pytest.mark.parametrize("argv, plain", [
+        (("solve", "C5", "--kind=t1k", "--k=2"), ("solve", "C5", "--kind", "t1k", "--k", "2")),
+        (("solve", "C5", "--ki", "t1k", "--k", "2", "--pre", "--lim", "3"),
+         ("solve", "C5", "--kind", "t1k", "--k", "2", "--pretty", "--limit", "3")),
+        (("theorem", "product-gamma", "C5", "C4", "--comp", "--k=2"),
+         ("theorem", "product-gamma", "C5", "C4", "--compare-oracle")),
+        (("solve", "C5", "--kind", "dom", "--kind", "t1k", "--k", "3", "--k", "2"),
+         ("solve", "C5", "--kind", "t1k", "--k", "2")),
+        (("theorem", "--kind", "plain", "product-gamma", "C5", "--k", "2", "C4"),
+         ("theorem", "product-gamma", "C5", "C4", "--kind", "plain")),
+        (("gen", "cycle", "6", "-oOUT"), ("gen", "cycle", "6", "-o", "OUT")),
+        (("gen", "-o=OUT", "cycle", "6"), ("gen", "cycle", "6", "-o", "OUT")),
+        (("gen", "cycle", "6", "--out", "OUT.first", "--output=OUT"), ("gen", "cycle", "6", "-o", "OUT")),
+        (("product", "C5", "C4", "--lay=OUT"), ("product", "C5", "C4", "--layer-map", "OUT")),
+    ])
+    def test_equivalent_forms(self, tmp_path, capsys, c5_file, c4_file, argv, plain):
+        target = tmp_path / "out"
+
+        def outcome(argv):
+            code, out, _ = run(capsys, *(word.replace("OUT", str(target)) for word in
+                                         _fill(argv, C5=c5_file, C4=c4_file)))
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return code, out, written
+
+        result = outcome(argv)
+        assert result == outcome(plain) and result[0] == 0 and (result[1] or result[2])
 
 
 class TestGen:
@@ -310,6 +388,18 @@ class TestTheorem:
         assert code == 3 and out == ""
         assert "scattered-set scan needs n <= 20, got 40; --force does not lift this limit" in err
 
+    def test_force_reaches_the_scattered_set_scan(self, tmp_path, capsys, c5_file,
+                                                  monkeypatch):
+        # one2 on P15 x C5 runs min_sd_size_plus_alpha on the 15-vertex G
+        monkeypatch.setenv("DOMKIT_MAX_N", "10")
+        p15 = tmp_path / "p15.el"
+        p15.write_text(format_edge_list(build_standard("path", 15)))
+        argv = ("theorem", "product-gamma", str(p15), c5_file, "--kind", "one2")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "15 vertices, cap is 10" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and json.loads(out)["predicted_gamma"] == 8
+
     def test_strict_flag_is_gone(self, capsys, c5_file, c4_file):
         # it never changed anything: a disagreement exits 2 with or without it
         code, out, err = run(capsys, "theorem", "total", c5_file, c4_file,
@@ -421,7 +511,7 @@ class TestReduceAndDecide:
         monkeypatch.setattr(npc, "_has_exact_cover", refuse)
         monkeypatch.setattr(npc, "build_gadget", refuse)
         monkeypatch.setattr(cli, "build_gadget", refuse)
-        for mode in ("both", "via_gadget"):
+        for mode in ("both", "via_gadget", "brute_force"):
             code, out, err = run(capsys, "decide-x3c", eighteen_sets, "--mode", mode)
             assert (code, out) == (3, "") and "135 vertices, cap is 32" in err
             assert "--force" in err
@@ -445,9 +535,24 @@ class TestReduceAndDecide:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "") and "27 vertices, cap is 26" in err
             assert run(capsys, *argv, "--force")[:2] == (0, forced)
-        # the brute force alone has no cap
-        code, out, _ = run(capsys, "decide-x3c", str(inst), "--mode", "brute_force")
+        argv = ("decide-x3c", str(inst), "--mode", "brute_force")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "27 vertices, cap is 26" in err and "--force" in err
+        code, out, _ = run(capsys, *argv, "--force")
         assert code == 0 and json.loads(out)["brute_force"] is True
+
+    def test_force_lifts_the_brute_force_cap(self, tmp_path, capsys, monkeypatch):
+        # 14 sets [0, a, b] cover all of 0..8 and hold no exact cover: 2^14 subcollections
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        inst = tmp_path / "fourteen.json"
+        sets = [[0, a, b] for a, b in combinations(range(1, 9), 2)][:14]
+        inst.write_text(json.dumps({"universe": 9, "sets": sets}))
+        argv = ("decide-x3c", str(inst), "--mode", "brute_force")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and "107 vertices, cap is 32" in err and "--force" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and json.loads(out) == {"universe": 9, "num_sets": 14,
+                                                 "brute_force": False}
 
     def test_uncovered_element_skips_the_brute_force(self, tmp_path, capsys):
         inst = tmp_path / "copies.json"  # 2^24 subcollections; elements 3..5 in no set

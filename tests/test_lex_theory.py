@@ -43,7 +43,7 @@ from domkit.lex_theory import (
     verify_against_oracle,
     verify_membership_against_oracle,
 )
-from domkit.solvers import GraphTooLargeError, enumerate_masks, exists_set, min_set
+from domkit.solvers import GraphTooLargeError, _Search, enumerate_masks, exists_set, min_set
 
 
 def P(n):
@@ -172,15 +172,17 @@ class TestScatteredCut:
         ("cycle", 2, 2, 2610, 24559),
     ])
     def test_min_sd_node_ceilings(self, monkeypatch, family, j, k, ceiling, uncut):
-        nodes = []
+        searches = []
 
-        def counted(*args, **kwargs):
-            nodes.append(enumerate_masks(*args, **kwargs))
+        class Counted(lex_theory._Search):
+            def run(self, *args, **kwargs):
+                searches.append(self)
+                return super().run(*args, **kwargs)
 
-        monkeypatch.setattr(lex_theory, "enumerate_masks", counted)
+        monkeypatch.setattr(lex_theory, "_Search", Counted)
         g = build_standard(family, 20)
         assert lex_theory.min_sd_size_plus_alpha(g, j, k)[0] == 10
-        assert nodes[0] <= ceiling
+        assert len(searches) == 1 and searches[0].nodes <= ceiling
         _, best, full = _uncut_scans(g, j, k)
         assert best[0] == 10 and full == uncut
 
@@ -195,7 +197,7 @@ class TestScatteredCut:
                 kind = j_dependent_one_k(j, k)
                 every, listed = [], []
                 enumerate_masks(g, kind, 0, n, lambda s: every.append(s))
-                enumerate_masks(g, kind, 0, n, lambda s: listed.append(s), near=near)
+                _Search(g, kind, near=near).run(0, n, lambda s: listed.append(s))
                 assert [s for s in every if scattered(s)] == [s for s in listed if scattered(s)]
                 assert set(listed) <= set(every)
 

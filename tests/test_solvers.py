@@ -644,7 +644,7 @@ class TestNestedLevels:
             enumerate_masks(g, kind, 0, g.n, lambda m: (every.append(m), False)[1])
             assert [mask_to_ids(m) for m in every] == hits, (g, kind)
             near = near_masks(g.neighbor_masks)
-            enumerate_masks(g, kind, 0, g.n, lambda m: (listed.append(m), False)[1], near=near)
+            _Search(g, kind, near=near).run(0, g.n, lambda m: (listed.append(m), False)[1])
             scattered = scattered_test(g, near)
             assert [m for m in listed if scattered(m)] == [m for m in every if scattered(m)]
             assert set(listed) <= set(every)
@@ -703,11 +703,16 @@ class TestPinnedSearchWork:
             assert search.nodes == nodes
 
     def test_scattered_scan(self, monkeypatch):
-        nodes = []
-        monkeypatch.setattr(lex_theory, "enumerate_masks",
-                            lambda *args, **kwargs: nodes.append(enumerate_masks(*args, **kwargs)))
+        searches = []
+
+        class Counted(_Search):
+            def run(self, *args, **kwargs):
+                searches.append(self)
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(lex_theory, "_Search", Counted)
         assert lex_theory.min_sd_size_plus_alpha(build_standard("path", 20), 1, 2)[0] == 10
-        assert nodes == [1003]
+        assert [search.nodes for search in searches] == [1003]
 
 
 class TestEnumerateSets:
@@ -819,11 +824,14 @@ CAPPED_ENTRY_POINTS = {
     "verify_membership_against_oracle": (
         6, lambda **kw: lex_theory.verify_membership_against_oracle(_P3, _P2, "total", **kw)),
     "decide_x3c": (10, lambda **kw: decide_x3c(_ONE_SET, "via_gadget", **kw)),
+    "decide_x3c_brute_force": (10, lambda **kw: decide_x3c(_ONE_SET, "brute_force", **kw)),
     "minimum_gadget_witness": (10, lambda **kw: minimum_gadget_witness(_ONE_SET, **kw)),
     "product_gamma": (6, lambda **kw: lex_theory.product_gamma(_P6, _P2, "plain", **kw)),
     "characterize_total": (6, lambda **kw: lex_theory.characterize_total(_P6, _P2, **kw)),
     "characterize_independent": (
         6, lambda **kw: lex_theory.characterize_independent(_P6, _P2, **kw)),
+    "first_sd_set": (6, lambda **kw: lex_theory.first_sd_set(_P6, 1, 2, **kw)),
+    "min_sd_size_plus_alpha": (6, lambda **kw: lex_theory.min_sd_size_plus_alpha(_P6, 1, 2, **kw)),
 }
 
 
