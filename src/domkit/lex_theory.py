@@ -30,7 +30,7 @@ from .domsets import (
     total_one_k,
 )
 from .graphs import Graph, is_connected, lex_product, mask_to_ids
-from .solvers import GraphTooLargeError, _Search, check_cap, exists_set, min_set
+from .solvers import _Search, check_cap, exists_set, min_set
 
 # product kind -> the set kind its predictions are measured against, given k
 _PRODUCT_KINDS = {
@@ -97,9 +97,6 @@ class DiscrepancyReport(_Record):
 
 # -- scattered-dependent set scans -------------------------------------------
 
-_SD_SCAN_CAP = 20  # subset scans are only ever run on factor graphs
-
-
 def _sd_scan(graph: Graph, j: int, k: int, weight: int,
              force: bool) -> tuple[int, int] | None:
     """Minimum of |S| + (weight - 1) * alpha(S) over scattered j-dependent
@@ -111,13 +108,8 @@ def _sd_scan(graph: Graph, j: int, k: int, weight: int,
     answer is that of the full scan.  Sizes only grow along the listing, so it
     stops at the first set of size >= the best value, and at a scattered set
     whose value is its size; with weight 1 that is the first scattered set.
-    The solver cap applies unless ``force``; ``_SD_SCAN_CAP`` always does.
+    The solver cap applies unless ``force``, as for every other search.
     """
-    if graph.n > _SD_SCAN_CAP:
-        raise GraphTooLargeError(
-            f"scattered-set scan needs n <= {_SD_SCAN_CAP}, got {graph.n}"
-            "; --force does not lift this limit"
-        )
     check_cap(graph.n, force)
     adj = graph.neighbor_masks
     near = near_masks(adj)

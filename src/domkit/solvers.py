@@ -374,7 +374,8 @@ class _Search:
         if hi_out is not None:
             out_at = levels[hi_out]
             out_below = levels[hi_out - 1] if hi_out else self.full
-            must_dies = hi_in is not None and hi_in <= hi_out  # joining breaks hi_in
+            # every kind has hi_in <= hi_out, so a vertex over hi_out that joins is over hi_in
+            must_dies = hi_in is not None
         left = remaining - 1
         unmet_cap = left * self.gain
         child_top = self.n - (left if exact else 1)
@@ -425,8 +426,6 @@ class _Search:
                 low = must & -must
                 if low < bit or must_dies:
                     continue  # one must join but was skipped, or would break its bound
-                if hi_in is not None and must & child_in:
-                    continue
                 if must.bit_count() > left:
                     size_cut = True
                     continue

@@ -13,6 +13,7 @@ from domkit.graphs import (
     load_graph,
     parse_edge_list,
 )
+from domkit.lex_theory import corollary_value
 
 
 @pytest.fixture
@@ -80,6 +81,7 @@ class TestParser:
         (("solve", "C5", "--kind", "dom", "--pretty=1"),
          "argument --pretty: ignored explicit argument '1'"),
         (("solve", "--", "C5", "--kind", "dom"), "the following arguments are required: --kind"),
+        (("--bogus", "solve", "C5", "--kind", "dom"), "unrecognized arguments: --bogus"),
     ])
     def test_usage_errors_exit_64(self, capsys, c5_file, c4_file, argv, message):
         code, out, err = run(capsys, *_fill(argv, C5=c5_file, C4=c4_file))
@@ -383,10 +385,26 @@ class TestTheorem:
             payload = json.loads(out)
             assert code == 0 and payload["membership"] is True
             assert payload["matched_condition"] == ("case2a" if argv[1:] else 2)
-        # the scattered-set scan keeps its own cap, and says that --force cannot lift it
-        code, out, err = run(capsys, "theorem", "product-gamma", str(p40), c5_file, "--force")
-        assert code == 3 and out == ""
-        assert "scattered-set scan needs n <= 20, got 40; --force does not lift this limit" in err
+        # the scattered-set scan obeys the same cap, so --force reaches it too
+        argv = ("theorem", "product-gamma", str(p40), c5_file)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "40 vertices, cap is 32" in err
+        code, out, _ = run(capsys, *argv, "--force")
+        assert code == 0 and json.loads(out)["predicted_gamma"] == 20
+
+    def test_scattered_set_scan_runs_up_to_the_cap(self, tmp_path, capsys, c5_file,
+                                                   monkeypatch):
+        # one2 on P24 x C5 scans the 24-vertex G: the scan runs up to the cap like every search
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        p24 = tmp_path / "p24.el"
+        p24.write_text(format_edge_list(build_standard("path", 24)))
+        argv = ("theorem", "product-gamma", str(p24), c5_file, "--kind", "one2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["predicted_gamma"] == 12
+        assert corollary_value("path", "cycle", 24, 5, "one_2") == 12
+        monkeypatch.setenv("DOMKIT_MAX_N", "20")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "24 vertices, cap is 20" in err and "--force" in err
 
     def test_force_reaches_the_scattered_set_scan(self, tmp_path, capsys, c5_file,
                                                   monkeypatch):

@@ -595,6 +595,24 @@ class TestCorollaryValues:
         assert corollary_value("path", "path", 7, 5, "i_one_2") == 2 * 3
         assert corollary_value("cycle", "cycle", 9, 6, "i_one_2") == 6
 
+    def test_every_row_matches_the_solver(self):
+        # every family pair and kind with n * m <= 24; a cycle H with m = 2 is K2
+        kinds = {"one_2": one_k(2), "total_one_2": total_one_k(2),
+                 "i_one_2": independent_one_k(2)}
+        cells = 0
+        for fam_g in ("path", "cycle"):
+            for fam_h in ("path", "cycle"):
+                for n in range(2 if fam_g == "path" else 3, 13):
+                    for m in range(2, 24 // n + 1):
+                        h = P(2) if m == 2 else build_standard(fam_h, m)
+                        product, _ = lex_product(build_standard(fam_g, n), h)
+                        for name, kind in kinds.items():
+                            got = min_set(product, kind).gamma
+                            assert got == corollary_value(fam_g, fam_h, n, m, name), \
+                                (fam_g, fam_h, n, m, name, got)
+                            cells += 1
+        assert cells == 378
+
 
 class TestEfficientSetSizes:
     def test_all_efficient_sets_share_one_size(self, rng):
@@ -632,6 +650,14 @@ class TestVerifyAgainstOracle:
             "kind", "k", "prediction", "oracle", "agree",
             "matched_condition", "witness_pred", "witness_oracle", "layer_profile",
         }
+
+    def test_layer_profile_falls_back_to_the_oracle_witness(self, monkeypatch):
+        bare = lex_theory.ProductAnalysis(True, "case1", 2, None, None)
+        monkeypatch.setattr(lex_theory, "product_gamma", lambda *args, **kwargs: bare)
+        r = verify_against_oracle(P(4), P(4), "one_2")
+        _, idx = lex_product(P(4), P(4))
+        assert r.agree and r.witness_pred is None and r.witness_oracle is not None
+        assert r.layer_profile == idx.layer_profile(r.witness_oracle) == (0, 1, 1, 0)
 
     def test_membership_comparison(self):
         r = verify_membership_against_oracle(C(5), C(3), "total")

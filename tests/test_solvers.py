@@ -396,6 +396,13 @@ def _kinds_k_up_to_3():
     return kinds
 
 
+def test_member_bound_never_exceeds_the_off_set_bound():
+    # _Search._rec drops a child whose forced joiner is over hi_out, since it is then over hi_in
+    for kind in _kinds_k_up_to_3():
+        _, hi_in, _, hi_out = kind.bounds()
+        assert hi_in is None or hi_out is None or hi_in <= hi_out, kind
+
+
 class TestDoubleCountingSizeBound:
     """Deepening skips every size that double counting the edges between
     the set and the rest rules out; the skipped sizes must hold no set."""
