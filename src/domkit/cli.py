@@ -8,7 +8,6 @@ under ``--compare-oracle``, 3 solver cap exceeded, 64 invalid command line.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from types import SimpleNamespace
@@ -17,11 +16,10 @@ from typing import Callable, NamedTuple, NoReturn
 from .domsets import SetKind, base_parameters
 from .graphs import (
     build_standard,
-    fill_output,
     format_edge_list,
     lex_product,
     load_graph,
-    open_output,
+    write_outputs,
 )
 from .lex_theory import (
     characterize_independent,
@@ -105,34 +103,9 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload))
 
 
-def _write_outputs(outputs: list[tuple[str | None, str]]) -> None:
-    """Write each text to its path, or to stdout where the path is empty.  All
-    paths are opened first, so one that fails to open leaves every output
-    unwritten and removes the files the earlier opens created."""
-    missing = [path for path, _ in outputs if path and not os.path.lexists(path)]
-    fds: list[int | None] = []
-    try:
-        try:
-            for path, _ in outputs:
-                fds.append(open_output(path) if path else None)
-        except OSError:
-            for path in filter(os.path.lexists, missing):  # skips the unopened ones
-                os.unlink(path)
-            raise
-        for fd, (_, text) in zip(fds, outputs):
-            if fd is None:
-                sys.stdout.write(text)
-            else:
-                fill_output(fd, text)
-    finally:
-        for fd in fds:
-            if fd is not None:
-                os.close(fd)
-
-
 def _cmd_gen(args) -> int:
     graph = build_standard(args.family, args.n)
-    _write_outputs([(args.output, format_edge_list(graph))])
+    write_outputs([(args.output, format_edge_list(graph))])
     if args.output:
         print(f"wrote {args.output} ({graph.n} vertices, {graph.num_edges} edges)",
               file=sys.stderr)
@@ -153,7 +126,7 @@ def _cmd_product(args) -> int:
             "g_layers": {str(hv): list(idx.g_layer(hv)) for hv in range(idx.n_h)},
         }
         outputs.append((args.layer_map, json.dumps(layer_map)))
-    _write_outputs(outputs)
+    write_outputs(outputs)
     if args.output:
         print(f"wrote {args.output} ({product.n} vertices)", file=sys.stderr)
     return EXIT_OK
@@ -206,7 +179,7 @@ def _cmd_reduce(args) -> int:
     outputs = [(args.output, format_edge_list(graph))]
     if args.meta:
         outputs.append((args.meta, meta.to_sidecar_json()))
-    _write_outputs(outputs)
+    write_outputs(outputs)
     if args.output:
         print(f"wrote {args.output} ({graph.n} vertices, budget {meta.budget})",
               file=sys.stderr)

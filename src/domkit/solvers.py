@@ -5,11 +5,10 @@ within a cardinality, in ascending lexicographic order of the sorted vertex
 ids, so the first satisfying set found is the canonical witness.  One
 recursive loop serves both modes: ``min_set`` and ``enumerate_sets`` deepen
 over exact target sizes, while ``exists_set`` makes one variable-size sweep
-up to its limit (16,842 nodes on the X3C gadgets that still search, where
-per-size deepening explores 159,984 on the 491 gadgets that searched before
-the packing bound below).  ``min_set`` also runs that sweep when deepening
-would go on after two passes that found no set, so a nonexistence proof
-costs at most two passes and one sweep (see ``min_set``).
+up to its limit, which on the X3C gadgets explores far fewer nodes than
+per-size deepening (README, "Solver notes").  ``min_set`` also runs that
+sweep when deepening would go on after two passes that found no set, so a
+nonexistence proof costs at most two passes and one sweep (see ``min_set``).
 
 Pruning is sound-only.  A branch is cut when a spanning number already
 exceeds the applicable upper bound with no way to recover, or by a counting
@@ -482,9 +481,8 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     a failed pass for the rule above.  The packing waits for a failed pass
     because computing it in every call cost the ``product`` benchmark's
     thousands of small factor solves 3-18% in wall time.  On the
-    sparse 18-vertex ``solve`` benchmark graph, a proof that no total
-    [1,2]-set exists takes 1,870 nodes, against 1,941 without the packing
-    and 9,816 for deepening alone.
+    sparse 18-vertex ``solve`` benchmark graph, both the packing and the
+    sweep shorten the proof that no total [1,2]-set exists.
     """
     _check_limit(limit)
     if guess < 0:

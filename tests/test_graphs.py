@@ -14,13 +14,13 @@ from domkit.graphs import (
     build_standard,
     complement,
     distance,
-    fill_output,
     format_edge_list,
     is_connected,
     lex_product,
-    open_output,
+    load_graph,
     parse_edge_list,
-    write_text,
+    save_graph,
+    write_outputs,
 )
 
 
@@ -301,10 +301,12 @@ class TestEdgeListFormat:
 
 
 class TestWriteText:
+    """``write_outputs``, the one writer of every output file."""
+
     def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
         target = tmp_path / "out.txt"
-        write_text(str(target), "0123456789\n" * 50)
-        write_text(str(target), "short\n")
+        write_outputs([(str(target), "0123456789\n" * 50)])
+        write_outputs([(str(target), "short\n")])
         assert target.read_text() == "short\n"
 
     @pytest.mark.parametrize("old_size", (5, 6, 7, 0))
@@ -312,16 +314,16 @@ class TestWriteText:
         # longer, equal-length, shorter and empty old files
         target = tmp_path / "out.txt"
         target.write_bytes(b"x" * old_size)
-        write_text(str(target), "new!\n\n")
+        write_outputs([(str(target), "new!\n\n")])
         assert target.read_bytes() == b"new!\n\n"
 
     def test_cut_compares_bytes_not_characters(self, tmp_path):
         # 4 characters but 9 bytes over a 7-byte file: nothing may be cut
         target = tmp_path / "out.txt"
         target.write_bytes(b"abcdef\n")
-        write_text(str(target), "γγγγ\n")
+        write_outputs([(str(target), "γγγγ\n")])
         assert target.read_bytes() == "γγγγ\n".encode("utf-8")
-        write_text(str(target), "λ\n")
+        write_outputs([(str(target), "λ\n")])
         assert target.read_bytes() == "λ\n".encode("utf-8")
 
     def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
@@ -330,17 +332,13 @@ class TestWriteText:
         target = tmp_path / "out.txt"
         target.write_bytes(b"y" * 100)
         text = "0 1\n1 2\nγ\n"
-        fd = open_output(str(target))
-        try:
-            fill_output(fd, text)
-        finally:
-            os.close(fd)
+        write_outputs([(str(target), text)])
         assert target.read_bytes() == text.encode("utf-8")
 
     def test_bytes_match_open_w(self, tmp_path):
         text = "5 2\n0 1\nγ ∘ λ\r\n\n"
         ours, reference = tmp_path / "ours", tmp_path / "reference"
-        write_text(str(ours), text)
+        write_outputs([(str(ours), text)])
         with open(reference, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert ours.read_bytes() == reference.read_bytes()
@@ -348,7 +346,7 @@ class TestWriteText:
     def test_new_file_mode_follows_umask(self, tmp_path):
         old = os.umask(0o027)
         try:
-            write_text(str(tmp_path / "new.txt"), "x\n")
+            write_outputs([(str(tmp_path / "new.txt"), "x\n")])
         finally:
             os.umask(old)
         assert (tmp_path / "new.txt").stat().st_mode & 0o777 == 0o666 & ~0o027
@@ -357,10 +355,29 @@ class TestWriteText:
         target, link = tmp_path / "target.txt", tmp_path / "link.txt"
         target.write_text("a much longer old content\n")
         link.symlink_to(target)
-        write_text(str(link), "new\n")
+        write_outputs([(str(link), "new\n")])
         assert link.is_symlink()
         assert target.read_text() == "new\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_non_regular_target_is_not_truncated(self):
-        write_text("/dev/null", "discarded\n")
+        write_outputs([("/dev/null", "discarded\n")])
+
+    def test_save_graph_writes_the_edge_list(self, tmp_path):
+        graph = lex_product(build_standard("cycle", 5), build_standard("path", 3))[0]
+        target = tmp_path / "g.el"
+        target.write_bytes(b"x" * 1000)
+        save_graph(graph, str(target))
+        assert target.read_bytes() == format_edge_list(graph).encode("utf-8")
+        assert load_graph(str(target)) == graph
+
+    def test_unopenable_second_path_writes_nothing(self, tmp_path, capsys):
+        # a directory cannot be opened for writing
+        old, fresh = tmp_path / "old.el", tmp_path / "fresh.el"
+        old.write_text("old contents\n")
+        for first in (str(old), str(fresh), None):
+            with pytest.raises(OSError):
+                write_outputs([(first, "new\n"), (str(tmp_path), "{}")])
+        assert old.read_text() == "old contents\n"
+        assert not fresh.exists()
+        assert capsys.readouterr().out == ""
