@@ -14,23 +14,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Collection, Iterator
 
-from .domsets import (
-    SetKind,
-    dominating,
-    efficient,
-    independent_one_k,
-    j_dependent_one_k,
-    j_dependent_total_one_k,
-    near_masks,
-    one_k,
-    scattered_test,
-    total_dominating,
-    total_one_k,
-)
+from . import domsets
+from .domsets import SetKind, near_masks, scattered_test
 from .graphs import Graph, is_connected, lex_product, mask_to_ids
 from .solvers import _Search, check_cap, exists_set, min_set
+
+# The kinds the predictions solve for.  Kinds are immutable, so each is built
+# and validated once per parameters; an invalid parameter caches nothing and
+# raises on every call.
+_shared = lru_cache(maxsize=64, typed=True)
+dominating = _shared(domsets.dominating)
+efficient = _shared(domsets.efficient)
+independent_one_k = _shared(domsets.independent_one_k)
+j_dependent_one_k = _shared(domsets.j_dependent_one_k)
+j_dependent_total_one_k = _shared(domsets.j_dependent_total_one_k)
+one_k = _shared(domsets.one_k)
+total_dominating = _shared(domsets.total_dominating)
+total_one_k = _shared(domsets.total_one_k)
 
 # product kind -> the set kind its predictions are measured against, given k
 _PRODUCT_KINDS = {
@@ -173,22 +176,41 @@ def _layer_masks(g: Graph, h: Graph, kind: SetKind, members: Collection[int],
     layer, and members with no in-set G-neighbor also carry ``lonely``.
     Vertex (g, x) hears s_g + |N_H(x) ∩ D_g| members, where s_g sums |D_g'|
     over the G-neighbors g' of g, so the check never builds the product.
+    Each member layer adds its size to the s_g of its G-neighbors.  Every
+    vertex of an empty layer hears exactly s_g, so such a layer is checked
+    once against the off-set bounds.
     """
     adj_g, adj_h = g.neighbor_masks, h.neighbor_masks
     inside = sum(1 << v for v in members)
     paired = sum(1 << u for u in shared)
     alone = paired | sum(1 << u for u in lonely)
     layers = [0] * g.n
-    for v in members:
-        layers[v] = paired if adj_g[v] & inside else alone
-    sizes = [d.bit_count() for d in layers]
+    heard = [0] * g.n
+    rest = inside
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
+        nbrs = adj_g[v]
+        layers[v] = d = paired if nbrs & inside else alone
+        size = d.bit_count()
+        while nbrs:
+            low = nbrs & -nbrs
+            heard[low.bit_length() - 1] += size
+            nbrs ^= low
     lo_in, hi_in, lo_out, hi_out = kind.bounds()
     for v, d in enumerate(layers):
-        heard = sum(sizes[w] for w in mask_to_ids(adj_g[v]))
+        s = heard[v]
+        if not d:
+            if adj_h and (s < lo_out or hi_out is not None and s > hi_out):
+                return None
+            continue
         for x, nbrs in enumerate(adj_h):
-            sn = heard + (nbrs & d).bit_count()
-            lo, hi = (lo_in, hi_in) if d >> x & 1 else (lo_out, hi_out)
-            if sn < lo or (hi is not None and sn > hi):
+            sn = s + (nbrs & d).bit_count()
+            if d >> x & 1:
+                if sn < lo_in or hi_in is not None and sn > hi_in:
+                    return None
+            elif sn < lo_out or hi_out is not None and sn > hi_out:
                 return None
     return layers
 
@@ -201,9 +223,13 @@ def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: b
     layers = None if plan is None else _layer_masks(g, h, kind, *plan)
     if layers is None:
         return ProductAnalysis(membership, matched, gamma, None, None)
-    witness = tuple(v * h.n + x for v, d in enumerate(layers) for x in mask_to_ids(d))
-    profile = tuple(d.bit_count() for d in layers)
-    return ProductAnalysis(membership, matched, gamma, witness, profile)
+    n_h = h.n
+    witness: list[int] = []
+    for v, d in enumerate(layers):
+        if d:
+            witness += [v * n_h + x for x in mask_to_ids(d)]
+    profile = tuple([d.bit_count() for d in layers])
+    return ProductAnalysis(membership, matched, gamma, tuple(witness), profile)
 
 
 # -- membership characterizations ---------------------------------------------

@@ -197,32 +197,40 @@ class _Search:
 
     def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False,
                  near: list[int] | None = None) -> None:
-        self.n = graph.n
+        """Build the tables the search reads: the bounds that can bind, the
+        closed hoods and the ``dead_before`` prefix table in one pass over
+        ``adj``, and with ``break_twins`` the twin table.  Every search
+        builds its own; nothing is kept per graph.
+        """
+        self.n = n = graph.n
         self.adj = adj = graph.neighbor_masks
-        self.full = (1 << graph.n) - 1
+        self.full = (1 << n) - 1
         lo_in, hi_in, _, hi_out = kind.bounds()
         self.delta = delta = max(map(int.bit_count, adj), default=0)
         # No spanning number exceeds delta, so a bound >= delta never binds.
-        self.hi_in = hi_in if hi_in is not None and hi_in < delta else None
-        self.hi_out = hi_out if hi_out is not None and hi_out < delta else None
-        self.member_needs_lo = lo_in >= 1
+        self.hi_in = hi_in = hi_in if hi_in is not None and hi_in < delta else None
+        self.hi_out = hi_out = hi_out if hi_out is not None and hi_out < delta else None
+        self.member_needs_lo = member_needs_lo = lo_in >= 1
         # One new member newly satisfies at most its delta neighbors, plus
         # itself when members need no in-set neighbor.
-        self.gain = delta + (0 if self.member_needs_lo else 1)
+        self.gain = delta + (0 if member_needs_lo else 1)
         # levels[i] = mask of vertices with spanning number >= i + 1
-        self.levels_len = 1 + max(b for b in (self.hi_in, self.hi_out, 0) if b is not None)
+        self.levels_len = 1 + max(hi_in or 0, hi_out or 0)
         # A vertex's suppliers are its neighbors, plus itself when membership
         # lifts its lower bound.  dead_before[v] = vertices whose suppliers all
         # have ids below v: once the candidates start..v-1 are skipped, an
         # unmet one among them can never be met.  A member's suppliers hold
         # all its neighbors, so dead_before[v + 1] holds every member that no
         # candidate after v can touch; dead_before[n] is every vertex.
-        closed = [m | 1 << w for w, m in enumerate(adj)]
+        closed = []
+        buckets = [0] * (n + 1)
+        for w, m in enumerate(adj):
+            bit = 1 << w
+            c = m | bit
+            closed.append(c)
+            buckets[(m if member_needs_lo else c).bit_length()] |= bit
         # hoods[v] = the vertices whose membership meets v's lower bound
-        self.hoods = hoods = adj if self.member_needs_lo else closed
-        buckets = [0] * (graph.n + 1)
-        for w, m in enumerate(hoods):
-            buckets[m.bit_length()] |= 1 << w
+        self.hoods = adj if member_needs_lo else closed
         self.dead_before = list(accumulate(buckets, or_))
         self.twin_before = _twin_before(adj, closed) if break_twins else None
         self.near = near

@@ -502,6 +502,25 @@ class TestReduceAndDecide:
         assert (code, out) == (1, "")
         assert not fresh.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    def test_bad_second_path_removes_a_dangling_links_target(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"universe": 3, "sets": [[0, 1, 2]]}))
+        link, made = tmp_path / "link.el", tmp_path / "made.el"
+        link.symlink_to(made)
+        code, out, err = run(capsys, "reduce", str(inst), "-o", str(link),
+                             "--meta", str(tmp_path))
+        assert (code, out) == (1, "") and "error:" in err
+        assert not os.path.lexists(made)
+        assert os.path.islink(link) and os.readlink(link) == str(made)
+        loop = tmp_path / "loop.el"
+        loop.symlink_to(loop)
+        code, out, _ = run(capsys, "reduce", str(inst), "-o", str(loop))
+        assert (code, out) == (1, "") and os.path.islink(loop)
+        code, _, _ = run(capsys, "reduce", str(inst), "-o", str(link),
+                         "--meta", str(tmp_path / "meta.json"))
+        assert code == 0 and made.read_text() == run(capsys, "reduce", str(inst))[1]
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_every_descriptor_is_closed(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

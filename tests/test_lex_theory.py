@@ -396,7 +396,9 @@ class TestFailedConstruction:
 
 class TestLayerMasks:
     """The layer-count check of a plan agrees with ``satisfies`` on the
-    explicit product, and the witness it yields is the plan's product ids."""
+    explicit product, and the witness it yields is the plan's product ids.
+    ``satisfies`` referees the check's one test per empty layer, so the
+    plans leave layers empty and H may have isolated vertices or none."""
 
     KINDS = [SetKind(base, k=k, j=j)
              for base in BASES
@@ -409,7 +411,7 @@ class TestLayerMasks:
         with_isolated = 0
         for _ in range(400):
             g = random_graph(rng, rng.randint(1, 5), rng.choice((0.2, 0.5, 0.8)))
-            h = random_graph(rng, rng.randint(1, 4), rng.choice((0.2, 0.5, 0.8)))
+            h = random_graph(rng, rng.randint(0, 4), rng.choice((0.2, 0.5, 0.8)))
             with_isolated += bool(g.isolated_vertices() or h.isolated_vertices())
             plan = tuple(rng.sample(range(n), rng.randint(0, n)) for n in (g.n, h.n, h.n))
             members, shared, lonely = map(set, plan)
@@ -527,6 +529,41 @@ class TestOracleKind:
             lex_theory.oracle_kind("bogus", 0)
         with pytest.raises(ValueError, match="requires k >= 1"):
             lex_theory.oracle_kind("i_one_k", 0)
+
+    FACTORIES = ("dominating", "efficient", "independent_one_k", "j_dependent_one_k",
+                 "j_dependent_total_one_k", "one_k", "total_dominating", "total_one_k")
+
+    def test_shared_kinds_equal_fresh_ones(self):
+        # each factory lex_theory solves with hands out one kind per
+        # parameters; a factory is named after the base it builds
+        for name in self.FACTORIES:
+            takes = base_parameters(name)
+            for k in ((1, 2, 3, 4) if "k" in takes else (None,)):
+                for j in (range(k + 1) if "j" in takes else (None,)):
+                    args = [p for p in (j, k) if p is not None]
+                    shared = getattr(lex_theory, name)(*args)
+                    fresh = SetKind(name, k=k, j=j)
+                    assert getattr(lex_theory, name)(*args) is shared
+                    assert shared == fresh and hash(shared) == hash(fresh)
+                    assert repr(shared) == repr(fresh) and shared.bounds() == fresh.bounds()
+        # parameters of another type that compare equal get their own kind
+        assert lex_theory.one_k(1).k is not True and lex_theory.one_k(True).k is True
+
+    @pytest.mark.parametrize("name,args", [
+        ("one_k", (0,)),
+        ("total_one_k", (-1,)),
+        ("independent_one_k", (0,)),
+        ("j_dependent_one_k", (3, 2)),
+        ("j_dependent_total_one_k", (1, 0)),
+    ])
+    def test_invalid_parameters_raise_on_every_call(self, name, args):
+        j, k = args if len(args) == 2 else (None, args[0])
+        with pytest.raises(ValueError) as fresh:
+            SetKind(name, k=k, j=j)
+        for _ in range(3):
+            with pytest.raises(ValueError) as shared:
+                getattr(lex_theory, name)(*args)
+            assert str(shared.value) == str(fresh.value)
 
 
 class TestPinnedOutput:
