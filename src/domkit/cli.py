@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple, NoReturn
 
 from .domsets import SetKind, base_parameters
 from .graphs import (
+    Graph,
     build_standard,
     format_edge_list,
     lex_product,
@@ -22,14 +23,13 @@ from .graphs import (
     write_outputs,
 )
 from .lex_theory import (
-    characterize_independent,
-    characterize_total,
+    CHARACTERIZATIONS,
     check_k,
     product_gamma,
     verify_against_oracle,
     verify_membership_against_oracle,
 )
-from .npc import build_gadget, check_gadget_cap, decide_x3c, x3c_from_json
+from .npc import X3CInstance, build_gadget, check_gadget_cap, decide_x3c, x3c_from_json
 from .solvers import (
     GraphTooLargeError,
     check_closed_form_k,
@@ -103,6 +103,16 @@ def _emit(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload))
 
 
+def _load(path: str, force: bool) -> Graph:
+    """``load_graph``; unless ``force``, the header meets the cap before any allocation."""
+    return load_graph(path, max_n=None if force else resolve_cap())
+
+
+def _load_instance(path: str) -> X3CInstance:
+    with open(path, "r", encoding="utf-8") as fh:
+        return x3c_from_json(fh.read())
+
+
 def _cmd_gen(args) -> int:
     graph = build_standard(args.family, args.n)
     write_outputs([(args.output, format_edge_list(graph))])
@@ -113,10 +123,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    cap = None if args.force else resolve_cap()
-    g = load_graph(args.g, max_n=cap)
-    h = load_graph(args.h, max_n=cap)
-    product, idx = lex_product(g, h)
+    product, idx = lex_product(_load(args.g, args.force), _load(args.h, args.force))
     outputs = [(args.output, format_edge_list(product))]
     if args.layer_map:
         layer_map = {
@@ -135,8 +142,7 @@ def _cmd_product(args) -> int:
 def _cmd_solve(args) -> int:
     if args.limit is not None and args.limit < 0:
         return _usage_error(f"--limit must be non-negative, got {args.limit}")
-    # the header is checked against the cap before a graph of its size is built
-    graph = load_graph(args.graph, max_n=None if args.force else resolve_cap())
+    graph = _load(args.graph, args.force)
     kind = _build_kind(args.kind, args.j, args.k)
     result = min_set(graph, kind, limit=args.limit, force=args.force)
     _emit(result.to_dict(), args.pretty)
@@ -154,26 +160,20 @@ def _cmd_closed_form(args) -> int:
 def _cmd_theorem(args) -> int:
     kind = PRODUCT_KIND_TOKENS[args.kind] if args.which == "product-gamma" else None
     _or_usage_error(check_k, args.k, kind)
-    cap = None if args.force else resolve_cap()
-    g = load_graph(args.g, max_n=cap)
-    h = load_graph(args.h, max_n=cap)
+    g, h = _load(args.g, args.force), _load(args.h, args.force)
     if kind is not None:
-        if args.compare_oracle:
-            result = verify_against_oracle(g, h, kind, args.k, force=args.force)
-        else:
-            result = product_gamma(g, h, kind, args.k, force=args.force)
+        predict = verify_against_oracle if args.compare_oracle else product_gamma
+        result = predict(g, h, kind, args.k, force=args.force)
     elif args.compare_oracle:
         result = verify_membership_against_oracle(g, h, args.which, args.k, force=args.force)
     else:
-        fn = characterize_total if args.which == "total" else characterize_independent
-        result = fn(g, h, args.k, force=args.force)
+        result = CHARACTERIZATIONS[args.which][0](g, h, args.k, force=args.force)
     _emit(result.to_dict(), args.pretty)
     return EXIT_DISAGREE if args.compare_oracle and not result.agree else EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = x3c_from_json(fh.read())
+    inst = _load_instance(args.instance)
     check_gadget_cap(inst, force=args.force)
     graph, meta = build_gadget(inst)
     outputs = [(args.output, format_edge_list(graph))]
@@ -187,8 +187,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_decide_x3c(args) -> int:
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        inst = x3c_from_json(fh.read())
+    inst = _load_instance(args.instance)
     payload: dict = {"universe": inst.universe_size, "num_sets": inst.num_sets}
     if args.mode != "via_gadget":
         payload["brute_force"] = decide_x3c(inst, "brute_force", force=args.force)
@@ -260,7 +259,7 @@ COMMANDS = {
          _Option(("--k",), int, 2), _PRETTY)),
     "theorem": _Command(
         _cmd_theorem, "product theorems, optionally oracle-checked",
-        (_Option(("which",), ("total", "independent", "product-gamma")),
+        (_Option(("which",), (*CHARACTERIZATIONS, "product-gamma")),
          _Option(("g",)), _Option(("h",))),
         (_Option(("--kind",), tuple(PRODUCT_KIND_TOKENS), "one2"), _Option(("--k",), int, 2),
          _Option(("--compare-oracle",), bool, False), _FORCE, _PRETTY)),

@@ -131,20 +131,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
-    # -- distances ----------------------------------------------------------
-
-    def _frontiers(self, source: int) -> Iterator[int]:
-        """Breadth-first layers from ``source`` as masks: distance 0, 1, 2, ..."""
-        masks = self._masks
-        seen = frontier = 1 << source
-        while frontier:
-            yield frontier
-            reached = 0
-            for u in mask_to_ids(frontier):
-                reached |= masks[u]
-            frontier = reached & ~seen
-            seen |= frontier
-
 
 def build_standard(family: str, n: int) -> Graph:
     """Construct a named graph family with canonical vertex order.
@@ -181,20 +167,28 @@ def distance(graph: Graph, u: int, v: int) -> float:
     """Shortest-path length between u and v; ``math.inf`` when disconnected."""
     graph._check_vertex(u)
     graph._check_vertex(v)
-    target = 1 << v
-    for d, frontier in enumerate(graph._frontiers(u)):
-        if frontier & target:
-            return d
-    return math.inf
+    depth, _ = _breadth_first(graph, u, 1 << v)
+    return math.inf if depth is None else depth
 
 
 def is_connected(graph: Graph) -> bool:
     """True iff a breadth-first search from vertex 0 reaches every vertex."""
     if graph.n < 1:
         raise ValueError("connectivity is defined for n >= 1")
+    _, seen = _breadth_first(graph, 0, 0)
+    return seen == (1 << graph.n) - 1
+
+
+def _breadth_first(graph: Graph, source: int, target: int) -> tuple[int | None, int]:
+    """Breadth-first search from ``source`` over the neighbour masks: the depth
+    of the first layer that meets the ``target`` mask, None when none does,
+    and the mask of the vertices reached by then."""
     masks = graph._masks
-    seen = frontier = 1
+    seen = frontier = 1 << source
+    depth = 0
     while frontier:
+        if frontier & target:
+            return depth, seen
         reached = 0
         while frontier:
             low = frontier & -frontier
@@ -202,7 +196,8 @@ def is_connected(graph: Graph) -> bool:
             frontier ^= low
         frontier = reached & ~seen
         seen |= frontier
-    return seen == (1 << graph.n) - 1
+        depth += 1
+    return None, seen
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 Every evaluator answers questions about the product ``G o H`` by solving only
 on the factors: total/independent membership via structural conditions, and
-minimum sizes via the case analysis over layer shapes.  Each case returns a
-layer plan (G-vertices with the H-vertices their layers carry), which
-``_finish`` checks from per-layer counts and turns into product ids; no
-prediction builds the product.  Predictions can be cross-checked against the
-explicit-product oracle, with disagreements returned as data rather than
-raised, because a wrong prediction is a finding, not a crash.
+minimum sizes via the case analysis over layer shapes.  A product kind is one
+row of ``_PRODUCT_KINDS``: its oracle kind, the k it covers and its subcases.
+Each case returns a layer plan (G-vertices with the H-vertices their layers
+carry), which ``_finish`` checks from per-layer counts and turns into product
+ids; no prediction builds the product.  Predictions can be cross-checked
+against the explicit-product oracle, with disagreements returned as data
+rather than raised, because a wrong prediction is a finding, not a crash.
 """
 
 from __future__ import annotations
@@ -34,18 +35,6 @@ j_dependent_total_one_k = _shared(domsets.j_dependent_total_one_k)
 one_k = _shared(domsets.one_k)
 total_dominating = _shared(domsets.total_dominating)
 total_one_k = _shared(domsets.total_one_k)
-
-# product kind -> the set kind its predictions are measured against, given k
-_PRODUCT_KINDS = {
-    "plain": lambda k: dominating(),
-    "total": lambda k: total_dominating(),
-    "one_2": lambda k: one_k(2),
-    "total_one_2": lambda k: total_one_k(2),
-    "i_one_2": lambda k: independent_one_k(2),
-    "i_one_k": independent_one_k,
-}
-
-PRODUCT_GAMMA_KINDS = tuple(_PRODUCT_KINDS)
 
 COROLLARY_KINDS = ("one_2", "total_one_2", "i_one_2")
 
@@ -158,11 +147,13 @@ def _require_connected(graph: Graph) -> None:
 
 
 def check_k(k: int, kind: str | None = None) -> None:
-    """Raise ``ValueError`` unless the product theorems cover ``k``: k = 2 for
-    the ``*_2`` product kinds, k >= 2 for the others and the characterizations."""
-    if kind is not None and kind.endswith("_2"):
-        if k != 2:
-            raise ValueError(f"{kind} is defined for k=2 only")
+    """Raise ``ValueError`` unless the product theorems cover ``k``: the one k
+    of a product kind whose row fixes it, k >= 2 for the other kinds and the
+    characterizations."""
+    _, only_k, _ = _PRODUCT_KINDS.get(kind, (None, None, None))
+    if only_k is not None:
+        if k != only_k:
+            raise ValueError(f"{kind} is defined for k={only_k} only")
     elif k < 2:
         raise ValueError(f"product theorems require k >= 2, got {k}")
 
@@ -215,21 +206,34 @@ def _layer_masks(g: Graph, h: Graph, kind: SetKind, members: Collection[int],
     return layers
 
 
-def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None, membership: bool,
+def _finish(g: Graph, h: Graph, kind: SetKind, plan: tuple | None,
             matched: int | str | None, gamma: int | None) -> ProductAnalysis:
     """The planned witness as product ids ``g * n_h + x``, if it passes the
-    layer-count check.  A plan that fails is reported, not repaired: the
-    predicted membership and value stand and the witness is None."""
+    layer-count check; no plan means no set.  A plan that fails is reported,
+    not repaired: the predicted membership and value stand and the witness is None."""
     layers = None if plan is None else _layer_masks(g, h, kind, *plan)
     if layers is None:
-        return ProductAnalysis(membership, matched, gamma, None, None)
+        return ProductAnalysis(plan is not None, matched, gamma, None, None)
     n_h = h.n
     witness: list[int] = []
     for v, d in enumerate(layers):
         if d:
             witness += [v * n_h + x for x in mask_to_ids(d)]
     profile = tuple([d.bit_count() for d in layers])
-    return ProductAnalysis(membership, matched, gamma, tuple(witness), profile)
+    return ProductAnalysis(True, matched, gamma, tuple(witness), profile)
+
+
+def _identity_plan(g: Graph, h: Graph, kind: SetKind,
+                   force: bool) -> tuple[int | None, tuple | None]:
+    """Minimum size and layer plan of a ``kind``-set of G o H when a factor is
+    a single vertex, so the product is a copy of the other factor."""
+    if g.n == 1:
+        r = min_set(h, kind, force=force)
+        plan = ((0,), r.witness) if r.exists else None
+    else:
+        r = min_set(g, kind, force=force)
+        plan = (r.witness, (0,)) if r.exists else None
+    return r.gamma, plan
 
 
 # -- membership characterizations ---------------------------------------------
@@ -249,9 +253,8 @@ def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -
     t1k_kind = total_one_k(k)
 
     if g.n == 1:
-        r = min_set(h, t1k_kind, force=force)
-        plan = ((0,), r.witness) if r.exists else None
-        return _finish(g, h, t1k_kind, plan, r.exists, 1 if r.exists else None, None)
+        _, plan = _identity_plan(g, h, t1k_kind, force)
+        return _finish(g, h, t1k_kind, plan, 1 if plan else None, None)
 
     iso = h.isolated_vertices()
     if iso:
@@ -260,7 +263,7 @@ def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -
         r = min_set(g, j_dependent_total_one_k(k - 1, k), force=force)
     if r.exists:
         u_star = iso[0] if iso else 0
-        return _finish(g, h, t1k_kind, (r.witness, (u_star,)), True, 2, None)
+        return _finish(g, h, t1k_kind, (r.witness, (u_star,)), 2, None)
 
     # The lex-smallest minimum set is the same at every limit >= gamma, so
     # the floor(k/2) threshold reads this one solve.
@@ -269,14 +272,14 @@ def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -
     if h_total.exists:
         r_eff = min_set(g, efficient(), force=force)
         if r_eff.exists:
-            return _finish(g, h, t1k_kind, (r_eff.witness, t), True, 3, None)
+            return _finish(g, h, t1k_kind, (r_eff.witness, t), 3, None)
         sd = first_sd_set(g, k - 1, k, force=force)
         if sd is not None:
-            return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), True, 4, None)
+            return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), 4, None)
     if h_total.exists and h_total.gamma <= k // 2:
         r_dep = min_set(g, j_dependent_one_k(k - 1, k), force=force)
         if r_dep.exists:
-            return _finish(g, h, t1k_kind, (r_dep.witness, t[:1], t[1:]), True, 4, None)
+            return _finish(g, h, t1k_kind, (r_dep.witness, t[:1], t[1:]), 4, None)
     return ProductAnalysis(False, None, None, None, None)
 
 
@@ -314,13 +317,19 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2, *,
     i1k_kind = independent_one_k(k)
 
     if g.n == 1:
-        r = min_set(h, i1k_kind, force=force)
-        plan = ((0,), r.witness) if r.exists else None
-        return _finish(g, h, i1k_kind, plan, r.exists, 1 if r.exists else None, None)
+        _, plan = _identity_plan(g, h, i1k_kind, force)
+        return _finish(g, h, i1k_kind, plan, 1 if plan else None, None)
 
     for condition, _, plan in _independent_plans(g, h, k, force):
-        return _finish(g, h, i1k_kind, plan, True, condition, None)
+        return _finish(g, h, i1k_kind, plan, condition, None)
     return ProductAnalysis(False, None, None, None, None)
+
+
+# characterization -> (its function, the set kind whose existence it decides, given k)
+CHARACTERIZATIONS = {
+    "total": (characterize_total, total_one_k),
+    "independent": (characterize_independent, independent_one_k),
+}
 
 
 # -- minimum-size formulas ------------------------------------------------------
@@ -330,19 +339,8 @@ def oracle_kind(kind: str, k: int = 2) -> SetKind:
     """The set kind a product-gamma prediction is measured against."""
     if kind not in _PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    return _PRODUCT_KINDS[kind](k)
-
-
-def _identity_analysis(g: Graph, h: Graph, kind: SetKind, force: bool) -> ProductAnalysis:
-    # one factor is a single vertex, so the product is a copy of the other
-    if g.n == 1:
-        r = min_set(h, kind, force=force)
-        plan = ((0,), r.witness) if r.exists else None
-    else:
-        r = min_set(g, kind, force=force)
-        plan = (r.witness, (0,)) if r.exists else None
-    return _finish(g, h, kind, plan, r.exists,
-                   "identity" if r.exists else "identity_nonexistent", r.gamma)
+    oracle, _, _ = _PRODUCT_KINDS[kind]
+    return oracle(k)
 
 
 def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2, *,
@@ -353,50 +351,44 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2, *,
     ``matched_condition`` records the winning subcase.  Nonexistence is
     reported with ``membership=False`` and no value.
     """
-    if kind not in PRODUCT_GAMMA_KINDS:
+    if kind not in _PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
     check_k(k, kind)
     _require_connected(g)
-    target = oracle_kind(kind, k)
+    oracle, _, cases = _PRODUCT_KINDS[kind]
+    target = oracle(k)
 
     if g.n == 1 or h.n == 1:
-        return _identity_analysis(g, h, target, force)
+        gamma, plan = _identity_plan(g, h, target, force)
+        label = "identity" if plan else "identity_nonexistent"
+        return _finish(g, h, target, plan, label, gamma)
 
-    if kind == "plain":
-        candidates = []
-        one_dominator = min_set(h, dominating(), limit=1, force=force)
-        if one_dominator.exists:
-            r_g = min_set(g, dominating(), force=force)
-            candidates.append((r_g.gamma, "dominated_layer",
-                               (r_g.witness, one_dominator.witness)))
-        r_gt = min_set(g, total_dominating(), force=force)
-        if r_gt.exists:
-            candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
-        return _pick(g, h, target, candidates, none_label=None)
-
-    if kind == "total":
-        r_gt = min_set(g, total_dominating(), force=force)
-        candidates = []
-        if r_gt.exists:
-            candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
-        return _pick(g, h, target, candidates, none_label="no_total_set_in_g")
-
-    if kind == "one_2":
-        return _one_2_cases(g, h, target, force)
-    if kind == "total_one_2":
-        return _total_one_2_cases(g, h, target, force)
-    return _independent_cases(g, h, target, k, force)
-
-
-def _pick(g: Graph, h: Graph, target: SetKind, candidates: list[tuple[int, str, tuple]],
-          none_label: str | None) -> ProductAnalysis:
+    candidates, none_label = cases(g, h, k, force)
     if not candidates:
         return ProductAnalysis(False, none_label, None, None, None)
     value, label, plan = min(candidates, key=lambda item: item[0])
-    return _finish(g, h, target, plan, True, label, value)
+    return _finish(g, h, target, plan, label, value)
 
 
-def _one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAnalysis:
+def _total_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
+    r_gt = min_set(g, total_dominating(), force=force)
+    candidates = []
+    if r_gt.exists:
+        candidates.append((r_gt.gamma, "total_set_of_g", (r_gt.witness, (0,))))
+    return candidates, "no_total_set_in_g"
+
+
+def _plain_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
+    # the total-set subcase comes second, so a dominated layer wins a tie
+    candidates = []
+    one_dominator = min_set(h, dominating(), limit=1, force=force)
+    if one_dominator.exists:
+        r_g = min_set(g, dominating(), force=force)
+        candidates.append((r_g.gamma, "dominated_layer", (r_g.witness, one_dominator.witness)))
+    return candidates + _total_cases(g, h, k, force)[0], None
+
+
+def _one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
     # n_h >= 2 here, so every subcase value is at most 2 * n_g <= n_g * n_h
     # and the full vertex set, appended last, wins only when none applies.
     full = (range(g.n), range(h.n))
@@ -417,7 +409,7 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAna
                 u_bullet = next(u for u in pair_h if u != u_star)
                 candidates.append((value, "case1b", (members, (u_star,), (u_bullet,))))
         candidates.append((g.n * h.n, "case1c", full))
-        return _pick(g, h, target, candidates, None)
+        return candidates, None
     if r_h.gamma == 1:
         r_dep = min_set(g, j_dependent_one_k(1, 2), force=force)
         if r_dep.exists:
@@ -431,17 +423,17 @@ def _one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAna
             value, members = sd
             candidates.append((value, "case2c", (members, pair_h[:1], pair_h[1:])))
     candidates.append((g.n * h.n, "case2d", full))
-    return _pick(g, h, target, candidates, None)
+    return candidates, None
 
 
-def _total_one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> ProductAnalysis:
+def _total_one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
     candidates: list[tuple[int, str, tuple]] = []
     iso = h.isolated_vertices()
     if iso:
         r_gt = min_set(g, total_one_k(2), force=force)
         if r_gt.exists:
             candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
-        return _pick(g, h, target, candidates, "case1b_nonexistent")
+        return candidates, "case1b_nonexistent"
     r_dept = min_set(g, j_dependent_total_one_k(1, 2), force=force)
     if r_dept.exists:
         candidates.append((r_dept.gamma, "case2a", (r_dept.witness, (0,))))
@@ -454,15 +446,29 @@ def _total_one_2_cases(g: Graph, h: Graph, target: SetKind, force: bool) -> Prod
         if sd is not None:
             value, members = sd
             candidates.append((value, "case2b", (members, pair.witness[:1], pair.witness[1:])))
-    return _pick(g, h, target, candidates, "case2c_nonexistent")
+    return candidates, "case2c_nonexistent"
 
 
-def _independent_cases(g: Graph, h: Graph, target: SetKind, k: int,
-                       force: bool) -> ProductAnalysis:
+def _independent_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
     labels = {2: "case_a_efficient", 3: "case_b_independent"}
     candidates = [(value, labels[condition], plan)
                   for condition, value, plan in _independent_plans(g, h, k, force)]
-    return _pick(g, h, target, candidates, "case_c_nonexistent")
+    return candidates, "case_c_nonexistent"
+
+
+# kind -> (oracle kind given k, the one k it is defined for or None for every
+# k >= 2, subcases giving the candidates (value, label, layer plan) and the
+# label that reports that none applies)
+_PRODUCT_KINDS = {
+    "plain": (lambda k: dominating(), None, _plain_cases),
+    "total": (lambda k: total_dominating(), None, _total_cases),
+    "one_2": (lambda k: one_k(2), 2, _one_2_cases),
+    "total_one_2": (lambda k: total_one_k(2), 2, _total_one_2_cases),
+    "i_one_2": (lambda k: independent_one_k(2), 2, _independent_cases),
+    "i_one_k": (independent_one_k, None, _independent_cases),
+}
+
+PRODUCT_GAMMA_KINDS = tuple(_PRODUCT_KINDS)
 
 
 # -- path/cycle corollaries -----------------------------------------------------
@@ -550,16 +556,14 @@ def verify_membership_against_oracle(g: Graph, h: Graph, which: str, k: int = 2,
     """Compare a membership characterization with oracle existence on the
     product; the cap and ``force`` act as in ``verify_against_oracle``."""
     check_cap(g.n * h.n, force)
-    if which == "total":
-        analysis = characterize_total(g, h, k, force=force)
-        target = total_one_k(k)
-    elif which == "independent":
-        analysis = characterize_independent(g, h, k, force=force)
-        target = independent_one_k(k)
-    else:
+    if which not in CHARACTERIZATIONS:
         raise ValueError(f"unknown characterization {which!r}")
+    characterize, target = CHARACTERIZATIONS[which]
+    # called by its module name, as every other call here is, so that a
+    # wrapper put on the module (a tracer, a test's monkeypatch) sees it
+    analysis = globals()[characterize.__name__](g, h, k, force=force)
     product, _ = lex_product(g, h)
-    found = exists_set(product, target, force=force)
+    found = exists_set(product, target(k), force=force)
     return DiscrepancyReport(
         kind=f"characterize_{which}",
         k=k,

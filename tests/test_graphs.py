@@ -117,6 +117,20 @@ class TestDistance:
         with pytest.raises(ValueError):
             distance(build_standard("path", 3), 0, 5)
 
+    @given(graphs_strategy(max_n=8))
+    def test_matches_repeated_relaxation(self, g):
+        # Bellman-Ford on unit weights, and connectivity as every distance finite
+        for u in range(g.n):
+            dist = [math.inf] * g.n
+            dist[u] = 0
+            for _ in range(g.n):
+                for a, b in g.edges():
+                    dist[a] = min(dist[a], dist[b] + 1)
+                    dist[b] = min(dist[b], dist[a] + 1)
+            assert [distance(g, u, v) for v in range(g.n)] == dist
+            if u == 0:
+                assert is_connected(g) == (math.inf not in dist)
+
 
 class TestConnectivity:
     def test_path_connected(self):

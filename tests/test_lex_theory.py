@@ -30,7 +30,7 @@ from domkit.domsets import (
     total_dominating,
     total_one_k,
 )
-from domkit import lex_theory
+from domkit import cli, lex_theory
 from domkit.graphs import Graph, build_standard, is_connected, lex_product, mask_to_ids
 from domkit.lex_theory import (
     DisconnectedFactorError,
@@ -421,7 +421,7 @@ class TestLayerMasks:
                          for x in shared | (set() if g.neighbors(v) & members else lonely))
             product, idx = lex_product(g, h)
             for kind in self.KINDS:
-                a = lex_theory._finish(g, h, kind, plan, True, None, None)
+                a = lex_theory._finish(g, h, kind, plan, None, None)
                 ok = satisfies(product, ids, kind)
                 assert (lex_theory._layer_masks(g, h, kind, *plan) is not None) == ok
                 if ok:
@@ -530,6 +530,27 @@ class TestOracleKind:
         with pytest.raises(ValueError, match="requires k >= 1"):
             lex_theory.oracle_kind("i_one_k", 0)
 
+    def test_cli_tokens_name_every_kind(self):
+        assert tuple(cli.PRODUCT_KIND_TOKENS.values()) == lex_theory.PRODUCT_GAMMA_KINDS
+
+    @pytest.mark.parametrize("kind", ["plain", "total", "one_2", "total_one_2", "i_one_2",
+                                      "i_one_k"])
+    def test_k_rule(self, kind):
+        # check_k and product_gamma pass or fail alike, on the same message
+        for k in (1, 2, 3):
+            if kind.endswith("_2"):
+                message = None if k == 2 else f"{kind} is defined for k=2 only"
+            else:
+                message = None if k >= 2 else f"product theorems require k >= 2, got {k}"
+            for call in (lambda: lex_theory.check_k(k, kind),
+                         lambda: product_gamma(P(3), P(2), kind, k)):
+                if message is None:
+                    call()
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == message
+
     FACTORIES = ("dominating", "efficient", "independent_one_k", "j_dependent_one_k",
                  "j_dependent_total_one_k", "one_k", "total_dominating", "total_one_k")
 
@@ -588,20 +609,42 @@ class TestPinnedOutput:
         k33 = Graph(6, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)])
         yield from ((SPIDER, P(2)), (SPIDER, Graph(4, [(0, 1), (2, 3)])), (k33, K1))
 
-    def test_output_digest(self):
+    @staticmethod
+    def _digest(records):
         digest = hashlib.sha256()
         calls = 0
-        for g, h in self._pairs():
-            analyses = [product_gamma(g, h, kind) for kind in lex_theory.PRODUCT_GAMMA_KINDS]
-            analyses.append(product_gamma(g, h, "i_one_k", k=3))
+        for record in records:
+            d = record.to_dict()
+            digest.update(f"{json.dumps(d)}\n{d}\n".encode())
+            calls += 1
+        return calls, digest.hexdigest()
+
+    def test_output_digest(self):
+        def analyses(g, h):
+            for kind in lex_theory.PRODUCT_GAMMA_KINDS:
+                yield product_gamma(g, h, kind)
+            yield product_gamma(g, h, "i_one_k", k=3)
             for k in (2, 3):
-                analyses += [characterize_total(g, h, k), characterize_independent(g, h, k)]
-            for a in analyses:
-                d = a.to_dict()
-                digest.update(f"{json.dumps(d)}\n{d}\n".encode())
-                calls += 1
-        assert calls == 1507
-        assert digest.hexdigest() == self.DIGEST
+                yield characterize_total(g, h, k)
+                yield characterize_independent(g, h, k)
+
+        assert self._digest(a for g, h in self._pairs() for a in analyses(g, h)) == (
+            1507, self.DIGEST)
+
+    def test_oracle_report_digest(self):
+        cases = [(kind, 2) for kind in lex_theory.PRODUCT_GAMMA_KINDS]
+        cases += [("i_one_k", 3), ("i_one_k", 4)]
+        reports = (verify_against_oracle(g, h, kind, k)
+                   for g, h in self._pairs() for kind, k in cases)
+        assert self._digest(reports) == (
+            1096, "182338a144275426abe6438210a30f9324906f12b31ebec8b146df29a71a2d5b")
+
+    def test_membership_report_digest(self):
+        reports = (verify_membership_against_oracle(g, h, which, k)
+                   for g, h in self._pairs()
+                   for which in ("total", "independent") for k in (2, 3, 4))
+        assert self._digest(reports) == (
+            822, "186b1534f33d301b86631adb54dbe3759b9f606ff6715e94748912757bc7ed06")
 
 
 class TestCorollaryValues:
@@ -701,6 +744,13 @@ class TestVerifyAgainstOracle:
         assert r.agree and r.prediction is False and r.oracle is False
         r2 = verify_membership_against_oracle(C(6), P(2), "independent")
         assert r2.agree and r2.prediction is True
+
+    def test_membership_calls_the_characterization_by_its_module_name(self, monkeypatch):
+        # so that a wrapper put on the name, as the benchmark's tracer does, sees the call
+        stub = lex_theory.ProductAnalysis(True, "stub", None, None, None)
+        for which in lex_theory.CHARACTERIZATIONS:
+            monkeypatch.setattr(lex_theory, f"characterize_{which}", lambda *a, **kw: stub)
+            assert verify_membership_against_oracle(C(5), C(3), which).matched_condition == "stub"
 
     def test_each_check_builds_its_product_once(self, monkeypatch):
         built = []
