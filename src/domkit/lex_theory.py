@@ -16,12 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 
 from . import domsets
-from .domsets import SetKind, near_masks, scattered_test
+from .domsets import SetKind
 from .graphs import Graph, is_connected, lex_product, mask_to_ids
-from .solvers import _Search, check_cap, exists_set, min_set
+from .solvers import check_cap, exists_set, first_sd_set, min_sd_size_plus_alpha, min_set
 
 # The kinds the predictions solve for.  Kinds are immutable, so each is built
 # and validated once per parameters; an invalid parameter caches nothing and
@@ -87,57 +87,6 @@ class DiscrepancyReport(_Record):
     layer_profile: tuple[int, ...] | None
 
 
-# -- scattered-dependent set scans -------------------------------------------
-
-def _sd_scan(graph: Graph, j: int, k: int, weight: int,
-             force: bool) -> tuple[int, int] | None:
-    """Minimum of |S| + (weight - 1) * alpha(S) over scattered j-dependent
-    [1,k]-sets S, where ``alpha`` counts members with no in-set neighbor.
-
-    Returns the value and the mask of the first set reaching it, or None when
-    no such set exists.  The listing runs with the scattered cut, which skips
-    only sets that no extension makes scattered, whatever their size, so the
-    answer is that of the full scan.  Sizes only grow along the listing, so it
-    stops at the first set of size >= the best value, and at a scattered set
-    whose value is its size; with weight 1 that is the first scattered set.
-    The solver cap applies unless ``force``, as for every other search.
-    """
-    check_cap(graph.n, force)
-    adj = graph.neighbor_masks
-    near = near_masks(adj)
-    scattered = scattered_test(graph, near)
-    best: list[int] = []  # [value, mask] of the first set reaching the minimum
-
-    def consider(s: int) -> bool:
-        size = s.bit_count()
-        if best and size >= best[0]:
-            return True
-        if not scattered(s):
-            return False
-        value = size + (weight - 1) * sum(1 for v in mask_to_ids(s) if not adj[v] & s)
-        if not best or value < best[0]:
-            best[:] = [value, s]
-        return value == size
-
-    _Search(graph, j_dependent_one_k(j, k), near=near).run(0, graph.n, consider)
-    return (best[0], best[1]) if best else None
-
-
-def first_sd_set(graph: Graph, j: int, k: int, *,
-                 force: bool = False) -> frozenset[int] | None:
-    """Smallest (then lexicographically first) scattered j-dependent [1,k]-set."""
-    found = _sd_scan(graph, j, k, 1, force)
-    return frozenset(mask_to_ids(found[1])) if found else None
-
-
-def min_sd_size_plus_alpha(graph: Graph, j: int, k: int, *,
-                           force: bool = False) -> tuple[int, frozenset[int]] | None:
-    """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S, with the
-    first set achieving it, or None when no such set exists."""
-    found = _sd_scan(graph, j, k, 2, force)
-    return (found[0], frozenset(mask_to_ids(found[1]))) if found else None
-
-
 # -- shared helpers -----------------------------------------------------------
 
 
@@ -149,7 +98,10 @@ def _require_connected(graph: Graph) -> None:
 def check_k(k: int, kind: str | None = None) -> None:
     """Raise ``ValueError`` unless the product theorems cover ``k``: the one k
     of a product kind whose row fixes it, k >= 2 for the other kinds and the
-    characterizations."""
+    characterizations (no ``kind``).  A ``kind`` that is not a product kind
+    raises too."""
+    if kind is not None and kind not in _PRODUCT_KINDS:
+        raise ValueError(f"unknown product kind {kind!r}")
     _, only_k, _ = _PRODUCT_KINDS.get(kind, (None, None, None))
     if only_k is not None:
         if k != only_k:
@@ -239,6 +191,48 @@ def _identity_plan(g: Graph, h: Graph, kind: SetKind,
 # -- membership characterizations ---------------------------------------------
 
 
+def _characterize(g: Graph, h: Graph, k: int, target: Callable[[int], SetKind],
+                  plans: Callable[..., Iterator[tuple[int, tuple]]],
+                  force: bool) -> ProductAnalysis:
+    """Membership of a ``target(k)``-set in G o H: condition 1 is a trivial G
+    with H admitting one, and otherwise the first plan ``plans`` yields wins."""
+    check_k(k)
+    _require_connected(g)
+    kind = target(k)
+    if g.n == 1:
+        _, plan = _identity_plan(g, h, kind, force)
+        return _finish(g, h, kind, plan, 1 if plan else None, None)
+    for condition, plan in plans(g, h, k, force):
+        return _finish(g, h, kind, plan, condition, None)
+    return ProductAnalysis(False, None, None, None, None)
+
+
+def _total_plans(g: Graph, h: Graph, k: int, force: bool) -> Iterator[tuple[int, tuple]]:
+    """Plans (condition, plan) of a total [1,k]-set of G o H for conditions
+    2-4 of ``characterize_total``, solved lazily in that order."""
+    iso = h.isolated_vertices()
+    g_kind = total_one_k(k) if iso else j_dependent_total_one_k(k - 1, k)
+    r = min_set(g, g_kind, force=force)
+    if r.exists:
+        yield 2, (r.witness, (iso[0] if iso else 0,))
+    # The lex-smallest minimum set is the same at every limit >= gamma, so
+    # the floor(k/2) threshold reads this one solve.
+    h_total = min_set(h, total_one_k(k), limit=k, force=force)
+    if not h_total.exists:
+        return
+    t = h_total.witness
+    r_eff = min_set(g, efficient(), force=force)
+    if r_eff.exists:
+        yield 3, (r_eff.witness, t)
+    sd = first_sd_set(g, k - 1, k, force=force)
+    if sd is not None:
+        yield 4, (sd, t[:1], t[1:])
+    if h_total.gamma <= k // 2:
+        r_dep = min_set(g, j_dependent_one_k(k - 1, k), force=force)
+        if r_dep.exists:
+            yield 4, (r_dep.witness, t[:1], t[1:])
+
+
 def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -> ProductAnalysis:
     """Decide whether G o H has a total [1,k]-set, from factor structure alone.
 
@@ -248,59 +242,26 @@ def characterize_total(g: Graph, h: Graph, k: int = 2, *, force: bool = False) -
     with a small total [1,k]-set in H; (4) a (k-1)-dependent [1,k]-set of G,
     with the H threshold k for scattered sets and floor(k/2) otherwise.
     """
-    check_k(k)
-    _require_connected(g)
-    t1k_kind = total_one_k(k)
-
-    if g.n == 1:
-        _, plan = _identity_plan(g, h, t1k_kind, force)
-        return _finish(g, h, t1k_kind, plan, 1 if plan else None, None)
-
-    iso = h.isolated_vertices()
-    if iso:
-        r = min_set(g, t1k_kind, force=force)
-    else:
-        r = min_set(g, j_dependent_total_one_k(k - 1, k), force=force)
-    if r.exists:
-        u_star = iso[0] if iso else 0
-        return _finish(g, h, t1k_kind, (r.witness, (u_star,)), 2, None)
-
-    # The lex-smallest minimum set is the same at every limit >= gamma, so
-    # the floor(k/2) threshold reads this one solve.
-    h_total = min_set(h, t1k_kind, limit=k, force=force)
-    t = h_total.witness
-    if h_total.exists:
-        r_eff = min_set(g, efficient(), force=force)
-        if r_eff.exists:
-            return _finish(g, h, t1k_kind, (r_eff.witness, t), 3, None)
-        sd = first_sd_set(g, k - 1, k, force=force)
-        if sd is not None:
-            return _finish(g, h, t1k_kind, (sd, t[:1], t[1:]), 4, None)
-    if h_total.exists and h_total.gamma <= k // 2:
-        r_dep = min_set(g, j_dependent_one_k(k - 1, k), force=force)
-        if r_dep.exists:
-            return _finish(g, h, t1k_kind, (r_dep.witness, t[:1], t[1:]), 4, None)
-    return ProductAnalysis(False, None, None, None, None)
+    return _characterize(g, h, k, total_one_k, _total_plans, force)
 
 
-def _independent_plans(g: Graph, h: Graph, k: int,
-                       force: bool) -> Iterator[tuple[int, int, tuple]]:
-    """Plans (condition, size, plan) of an independent [1,k]-set of G o H, solved
+def _independent_plans(g: Graph, h: Graph, k: int, force: bool) -> Iterator[tuple[int, tuple]]:
+    """Plans (condition, plan) of an independent [1,k]-set of G o H, solved
     lazily.  Each member layer carries the first minimum independent
     [1,k]-set D of H: (2) over an efficient dominating set of G; (3) when
     |D| <= floor(k/2), over an independent [1, floor(k/|D|)]-set of G, as a
     non-member layer hears |D| per member G-neighbor."""
-    # as in characterize_total, one solve serves both H thresholds
+    # as in _total_plans, one solve serves both H thresholds
     r_h = min_set(h, independent_one_k(k), limit=k, force=force)
     if not r_h.exists:
         return
     r_eff = min_set(g, efficient(), force=force)
     if r_eff.exists:
-        yield 2, r_eff.gamma * r_h.gamma, (r_eff.witness, r_h.witness)
+        yield 2, (r_eff.witness, r_h.witness)
     if r_h.gamma <= k // 2:
         r_g = min_set(g, independent_one_k(k // r_h.gamma), force=force)
         if r_g.exists:
-            yield 3, r_g.gamma * r_h.gamma, (r_g.witness, r_h.witness)
+            yield 3, (r_g.witness, r_h.witness)
 
 
 def characterize_independent(g: Graph, h: Graph, k: int = 2, *,
@@ -312,17 +273,7 @@ def characterize_independent(g: Graph, h: Graph, k: int = 2, *,
     efficient dominating set of G, or (3) an independent
     [1, floor(k/|D|)]-set of G when |D| <= floor(k/2).
     """
-    check_k(k)
-    _require_connected(g)
-    i1k_kind = independent_one_k(k)
-
-    if g.n == 1:
-        _, plan = _identity_plan(g, h, i1k_kind, force)
-        return _finish(g, h, i1k_kind, plan, 1 if plan else None, None)
-
-    for condition, _, plan in _independent_plans(g, h, k, force):
-        return _finish(g, h, i1k_kind, plan, condition, None)
-    return ProductAnalysis(False, None, None, None, None)
+    return _characterize(g, h, k, independent_one_k, _independent_plans, force)
 
 
 # characterization -> (its function, the set kind whose existence it decides, given k)
@@ -351,8 +302,6 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2, *,
     ``matched_condition`` records the winning subcase.  Nonexistence is
     reported with ``membership=False`` and no value.
     """
-    if kind not in _PRODUCT_KINDS:
-        raise ValueError(f"unknown product kind {kind!r}")
     check_k(k, kind)
     _require_connected(g)
     oracle, _, cases = _PRODUCT_KINDS[kind]
@@ -451,8 +400,8 @@ def _total_one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, s
 
 def _independent_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
     labels = {2: "case_a_efficient", 3: "case_b_independent"}
-    candidates = [(value, labels[condition], plan)
-                  for condition, value, plan in _independent_plans(g, h, k, force)]
+    candidates = [(len(members) * len(layer), labels[condition], (members, layer))
+                  for condition, (members, layer) in _independent_plans(g, h, k, force)]
     return candidates, "case_c_nonexistent"
 
 

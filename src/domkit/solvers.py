@@ -37,14 +37,14 @@ smallest minimum witness thus never breaks the rule, so every answer and
 witness is that of the full search; only ``nodes_explored`` falls.
 ``enumerate_masks`` and ``enumerate_sets`` list every set, without the cut.
 
-The scattered-set scans of ``lex_theory`` build a ``_Search`` with the
-graph's ``near`` masks (vertices at distance 1 or 2), which then applies the
-scattered cut.  A member is settled once no candidate after the last pick
-is its neighbor, and lonely while it has no in-set neighbor; a settled
-lonely member stays lonely in every extension, so once another member lies
-within distance 2 of it no extension is scattered and the child is skipped.
-The scans accept only scattered sets, so their answers are those of the
-full listing.
+The scattered-set scans, ``first_sd_set`` and ``min_sd_size_plus_alpha``,
+build a ``_Search`` with the graph's ``near`` masks (vertices at distance 1
+or 2), which then applies the scattered cut.  A member is settled once no
+candidate after the last pick is its neighbor, and lonely while it has no
+in-set neighbor; a settled lonely member stays lonely in every extension,
+so once another member lies within distance 2 of it no extension is
+scattered and the child is skipped.  The scans accept only scattered sets,
+so their answers are those of the full listing.
 
 Exact-size deepening stops by the termination test of iterative deepening
 (Korf, 1985): a pass in which no cut depended on the target size proves that
@@ -95,7 +95,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable
 
-from .domsets import SetKind
+from .domsets import SetKind, j_dependent_one_k, near_masks, scattered_test
 from .graphs import (  # noqa: F401 (GraphTooLargeError is re-exported)
     Graph,
     GraphTooLargeError,
@@ -558,6 +558,55 @@ def enumerate_sets(graph: Graph, kind: SetKind, size: int,
     the number of search nodes explored."""
     return enumerate_masks(graph, kind, size, size,
                            lambda mask: on_solution(frozenset(mask_to_ids(mask))))
+
+
+def _sd_scan(graph: Graph, j: int, k: int, weight: int,
+             force: bool) -> tuple[int, int] | None:
+    """Minimum of |S| + (weight - 1) * alpha(S) over scattered j-dependent
+    [1,k]-sets S, where ``alpha`` counts members with no in-set neighbor.
+
+    Returns the value and the mask of the first set reaching it, or None when
+    no such set exists.  The listing runs with the scattered cut, which skips
+    only sets that no extension makes scattered, whatever their size, so the
+    answer is that of the full scan.  Sizes only grow along the listing, so it
+    stops at the first set of size >= the best value, and at a scattered set
+    whose value is its size; with weight 1 that is the first scattered set.
+    The solver cap applies unless ``force``, as for every other search.
+    """
+    check_cap(graph.n, force)
+    adj = graph.neighbor_masks
+    near = near_masks(adj)
+    scattered = scattered_test(graph, near)
+    best: list[int] = []  # [value, mask] of the first set reaching the minimum
+
+    def consider(s: int) -> bool:
+        size = s.bit_count()
+        if best and size >= best[0]:
+            return True
+        if not scattered(s):
+            return False
+        value = size + (weight - 1) * sum(1 for v in mask_to_ids(s) if not adj[v] & s)
+        if not best or value < best[0]:
+            best[:] = [value, s]
+        return value == size
+
+    _Search(graph, j_dependent_one_k(j, k), near=near).run(0, graph.n, consider)
+    return (best[0], best[1]) if best else None
+
+
+def first_sd_set(graph: Graph, j: int, k: int, *,
+                 force: bool = False) -> frozenset[int] | None:
+    """Smallest (then lexicographically first) scattered j-dependent [1,k]-set."""
+    found = _sd_scan(graph, j, k, 1, force)
+    return frozenset(mask_to_ids(found[1])) if found else None
+
+
+def min_sd_size_plus_alpha(graph: Graph, j: int, k: int, *,
+                           force: bool = False) -> tuple[int, frozenset[int]] | None:
+    """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S, with the
+    first set achieving it, or None when no such set exists."""
+    found = _sd_scan(graph, j, k, 2, force)
+    return (found[0], frozenset(mask_to_ids(found[1]))) if found else None
 
 
 def check_closed_form_k(k: int) -> None:

@@ -256,6 +256,19 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(p5), "--kind", "dom")
         assert code == 1 and out == "" and "non-negative" in err
 
+    @pytest.mark.parametrize("text, cap, message", [
+        ("5\n", None, "error: edge list must start with 'n m'"),
+        ("2 1\n0 x\n", None, "error: malformed edge list"),
+        ("5 4\n0 1\n1 2\n2 3\n3 4\n", "abc", "error: DOMKIT_MAX_N must be an integer"),
+    ])
+    def test_bad_input_exits_1(self, tmp_path, capsys, monkeypatch, text, cap, message):
+        graph = tmp_path / "g.el"
+        graph.write_text(text)
+        if cap is not None:
+            monkeypatch.setenv("DOMKIT_MAX_N", cap)
+        code, out, err = run(capsys, "solve", str(graph), "--kind", "dom")
+        assert (code, out) == (1, "") and err.startswith(message)
+
     def test_negative_limit_exits_64(self, capsys, c5_file):
         code, out, err = run(capsys, "solve", c5_file, "--kind", "dom", "--limit", "-1")
         assert code == 64 and out == "" and "--limit must be non-negative" in err

@@ -50,6 +50,16 @@ class TestKindValidation:
         with pytest.raises(ValueError):
             SetKind("dominating", k=2)
 
+    @pytest.mark.parametrize("base, k, j, message", [
+        ("bogus", None, None, "unknown set kind 'bogus'"),
+        ("j_dependent_one_k", 2, None, "j_dependent_one_k requires j >= 0, got None"),
+        ("one_k", 2, 1, "one_k takes no j parameter"),
+    ])
+    def test_rejects_with_message(self, base, k, j, message):
+        with pytest.raises(ValueError) as exc:
+            SetKind(base, k=k, j=j)
+        assert str(exc.value) == message
+
     def test_valid_kinds(self):
         # (kind, (lo_in, hi_in, lo_out, hi_out), label), written out from the
         # definitions: members need at least lo_in and at most hi_in in-set

@@ -47,6 +47,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Graph(-1), "vertex count must be non-negative"),
+        (lambda: is_connected(Graph(0)), "connectivity is defined for n >= 1"),
+        (lambda: ProductIndex(3, 4).id_of(3, 0), "pair (3, 0) out of range"),
+        (lambda: ProductIndex(3, 4).id_of(0, -1), "pair (0, -1) out of range"),
+        (lambda: ProductIndex(3, 4).pair_of(12), "product id 12 out of range"),
+        (lambda: ProductIndex(3, 4).pair_of(-1), "product id -1 out of range"),
+        (lambda: build_standard("wheel", 4), "unknown family 'wheel'"),
+    ])
+    def test_rejects_bad_arguments(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_collapses_duplicates(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1

@@ -30,7 +30,7 @@ from domkit.domsets import (
     total_dominating,
     total_one_k,
 )
-from domkit import cli, lex_theory
+from domkit import cli, lex_theory, solvers
 from domkit.graphs import Graph, build_standard, is_connected, lex_product, mask_to_ids
 from domkit.lex_theory import (
     DisconnectedFactorError,
@@ -174,12 +174,12 @@ class TestScatteredCut:
     def test_min_sd_node_ceilings(self, monkeypatch, family, j, k, ceiling, uncut):
         searches = []
 
-        class Counted(lex_theory._Search):
+        class Counted(solvers._Search):
             def run(self, *args, **kwargs):
                 searches.append(self)
                 return super().run(*args, **kwargs)
 
-        monkeypatch.setattr(lex_theory, "_Search", Counted)
+        monkeypatch.setattr(solvers, "_Search", Counted)
         g = build_standard(family, 20)
         assert lex_theory.min_sd_size_plus_alpha(g, j, k)[0] == 10
         assert len(searches) == 1 and searches[0].nodes <= ceiling
@@ -495,7 +495,7 @@ class TestRareSubcases:
 
     def test_characterize_total_k3_misses_a_weighted_set(self):
         # non-members 3 and 6 hear 2 + 1 = 3 from a lonely doubled layer and a
-        # single one: the weighted rule of ROADMAP item 2 with c = 2
+        # single one: the label rule of ROADMAP item 1 with c = 2
         assert not characterize_total(G11, P(2), k=3).membership
         product, idx = lex_product(G11, P(2))
         r = min_set(product, total_one_k(3))
@@ -503,9 +503,23 @@ class TestRareSubcases:
         assert idx.layer_profile(r.witness) == (0, 0, 1, 0, 2, 0, 0, 2, 1, 1, 0)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="condition 4 needs the weighted constraint of ROADMAP item 2")
+                       reason="condition 4 needs the label rule of ROADMAP item 1")
     def test_characterize_total_k3_agrees(self):
         assert verify_membership_against_oracle(G11, P(2), "total", 3).agree
+
+    # 7-vertex G with H = 2K1: predicted 6 (case1b), 14 and 14 (case1c), but the
+    # oracle finds 5, 8 and 8; in each oracle set a member with in-set
+    # G-neighbours carries its whole layer, which no one_2 subcase plans
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="one_2 needs the full-layer label of ROADMAP item 1")
+    @pytest.mark.parametrize("edges", [
+        "01 03 04 12 36 45",
+        "02 03 05 12 25 34 35 56",
+        "01 02 03 04 12 13 16 23 35",
+    ])
+    def test_one_2_agrees_on_g7_with_two_isolated_vertices(self, edges):
+        g = Graph(7, [(int(e[0]), int(e[1])) for e in edges.split()])
+        assert verify_against_oracle(g, Graph(2), "one_2").agree
 
     def test_one_2_case1b(self):
         g = Graph(9, [(0, 2), (0, 3), (1, 2), (1, 6), (1, 8), (2, 4), (2, 6), (2, 7),
@@ -529,6 +543,13 @@ class TestOracleKind:
             lex_theory.oracle_kind("bogus", 0)
         with pytest.raises(ValueError, match="requires k >= 1"):
             lex_theory.oracle_kind("i_one_k", 0)
+
+    def test_check_k_rejects_an_unknown_kind(self):
+        for call in (lambda: lex_theory.check_k(2, "bogus"),
+                     lambda: product_gamma(P(3), P(2), "bogus")):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "unknown product kind 'bogus'"
 
     def test_cli_tokens_name_every_kind(self):
         assert tuple(cli.PRODUCT_KIND_TOKENS.values()) == lex_theory.PRODUCT_GAMMA_KINDS
@@ -670,6 +691,16 @@ class TestCorollaryValues:
         with pytest.raises(ValueError):
             corollary_value("path", "path", 4, 1, "one_2")
 
+    @pytest.mark.parametrize("family_g, family_h, kind, message", [
+        ("path", "path", "bogus", "unknown corollary kind 'bogus'"),
+        ("star", "path", "one_2", "factors must be path or cycle"),
+        ("path", "complete", "one_2", "factors must be path or cycle"),
+    ])
+    def test_rejects_unknown_kind_or_family(self, family_g, family_h, kind, message):
+        with pytest.raises(ValueError) as exc:
+            corollary_value(family_g, family_h, 5, 4, kind)
+        assert str(exc.value) == message
+
     def test_independent_rows(self):
         assert corollary_value("cycle", "cycle", 7, 4, "i_one_2") is None
         assert corollary_value("path", "path", 7, 5, "i_one_2") == 2 * 3
@@ -721,6 +752,11 @@ class TestVerifyAgainstOracle:
     def test_identity_product_value(self):
         r = verify_against_oracle(K1, C(6), "total_one_2")
         assert r.agree and r.prediction == 4 and r.oracle == 4
+
+    def test_rejects_an_unknown_characterization(self):
+        with pytest.raises(ValueError) as exc:
+            verify_membership_against_oracle(P(3), P(2), "bogus")
+        assert str(exc.value) == "unknown characterization 'bogus'"
 
     def test_report_is_json_serializable(self):
         r = verify_against_oracle(P(3), P(2), "plain")

@@ -213,6 +213,13 @@ class TestCoverToWitness:
         with pytest.raises(ValueError):
             cover_to_witness(inst, meta, {0, 1})  # overlaps on 1 and 2
 
+    def test_rejects_a_set_index_out_of_range(self):
+        inst = X3CInstance(6, ((0, 1, 2), (3, 4, 5)))
+        _, meta = build_gadget(inst)
+        with pytest.raises(ValueError) as exc:
+            cover_to_witness(inst, meta, {0, 5})
+        assert str(exc.value) == "set index 5 out of range"
+
 
 class TestWitnessToCover:
     def test_round_trip(self):

@@ -717,7 +717,7 @@ class TestPinnedSearchWork:
                 searches.append(self)
                 return super().run(*args, **kwargs)
 
-        monkeypatch.setattr(lex_theory, "_Search", Counted)
+        monkeypatch.setattr(solvers, "_Search", Counted)
         assert lex_theory.min_sd_size_plus_alpha(build_standard("path", 20), 1, 2)[0] == 10
         assert [search.nodes for search in searches] == [1003]
 
@@ -734,6 +734,10 @@ class TestEnumerateSets:
         seen = []
         enumerate_sets(g, efficient(), 2, lambda s: (seen.append(s), True)[1])
         assert len(seen) == 1
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="^size must be non-negative$"):
+            enumerate_masks(build_standard("path", 3), dominating(), -1, 2, lambda mask: False)
 
 
 class TestClosedForm:
@@ -752,6 +756,15 @@ class TestClosedForm:
             closed_form("cycle", 2, "one_k")
         with pytest.raises(ValueError):
             closed_form("path", 5, "t1k", k=1)
+
+    @pytest.mark.parametrize("family, kind, message", [
+        ("star", "t1k", "closed forms cover path and cycle, not 'star'"),
+        ("path", "bogus", "unknown closed-form kind 'bogus'"),
+    ])
+    def test_rejects_unknown_family_or_kind(self, family, kind, message):
+        with pytest.raises(ValueError) as exc:
+            closed_form(family, 5, kind)
+        assert str(exc.value) == message
 
     def test_oracle_agreement_small(self):
         for fam in ("path", "cycle"):
