@@ -5,14 +5,17 @@ one neighbour bitmask per vertex (bit ``w`` of ``mask[v]`` set iff v ~ w);
 every accessor, the breadth-first searches and the product construction read
 those masks, and neighbour sets are derived from them on request.  Product
 vertices use the fixed encoding ``id(g, h) = g * n_h + h`` so that witnesses
-and reports are reproducible across runs.  Every output file is written by
-``write_outputs``, as UTF-8 bytes at the descriptor.
+and reports are reproducible across runs.  An edge list is read in one pass
+(``parse_edge_list``: one regex drops the comments, one ``str.split`` gives
+every token) and written by ``format_edge_list``.  Every output file is
+written by ``write_outputs``, as UTF-8 bytes at the descriptor.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -264,6 +267,11 @@ def lex_product(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
 # comment.  The writer emits edges with u < v in ascending order, which is
 # the bit-exact canonical form.
 
+# A comment runs from '#' to the first ``str.splitlines`` boundary, each of
+# which is whitespace to ``str.split``, so the tokens are those of a per-line
+# reading.
+_COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
 
 def format_edge_list(graph: Graph) -> str:
     names = [str(v) for v in range(graph.n)]
@@ -274,20 +282,16 @@ def format_edge_list(graph: Graph) -> str:
 
 
 def parse_edge_list(text: str, max_n: int | None = None) -> Graph:
-    """Graph from edge-list text.
+    """Graph from edge-list text, in one pass over its tokens.
 
     With ``max_n`` a header announcing more vertices raises
     ``GraphTooLargeError`` before anything of that size is allocated.
     """
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = _COMMENT.sub("", text).split()
     if len(tokens) < 2:
         raise ValueError("edge list must start with 'n m'")
     try:
-        numbers = [int(t) for t in tokens]
+        numbers = list(map(int, tokens))
     except ValueError as exc:
         raise ValueError(f"malformed edge list: {exc}") from None
     n, m = numbers[0], numbers[1]
@@ -295,13 +299,12 @@ def parse_edge_list(text: str, max_n: int | None = None) -> Graph:
         raise ValueError(f"expected {m} edges, found {(len(numbers) - 2) / 2:g}")
     if max_n is not None:
         check_vertex_cap(n, max_n)
-    edges = [(numbers[i], numbers[i + 1]) for i in range(2, len(numbers), 2)]
-    return Graph(n, edges)
+    return Graph(n, zip(numbers[2::2], numbers[3::2]))
 
 
 def load_graph(path: str, max_n: int | None = None) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), max_n)
+    with open(path, "rb") as fh:
+        return parse_edge_list(fh.read().decode("utf-8"), max_n)
 
 
 def write_outputs(outputs: list[tuple[str | None, str]]) -> None:

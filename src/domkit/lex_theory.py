@@ -90,9 +90,12 @@ class DiscrepancyReport(_Record):
 # -- shared helpers -----------------------------------------------------------
 
 
-def _require_connected(graph: Graph) -> None:
-    if not is_connected(graph):
+def _require_factors(g: Graph, h: Graph) -> None:
+    """Raise unless G is connected and H has a vertex for the plans to use."""
+    if not is_connected(g):
         raise DisconnectedFactorError("first factor must be connected")
+    if h.n < 1:
+        raise ValueError("second factor must have at least one vertex")
 
 
 def check_k(k: int, kind: str | None = None) -> None:
@@ -197,7 +200,7 @@ def _characterize(g: Graph, h: Graph, k: int, target: Callable[[int], SetKind],
     """Membership of a ``target(k)``-set in G o H: condition 1 is a trivial G
     with H admitting one, and otherwise the first plan ``plans`` yields wins."""
     check_k(k)
-    _require_connected(g)
+    _require_factors(g, h)
     kind = target(k)
     if g.n == 1:
         _, plan = _identity_plan(g, h, kind, force)
@@ -303,7 +306,7 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2, *,
     reported with ``membership=False`` and no value.
     """
     check_k(k, kind)
-    _require_connected(g)
+    _require_factors(g, h)
     oracle, _, cases = _PRODUCT_KINDS[kind]
     target = oracle(k)
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from domkit import cli, graphs, npc
-from domkit.cli import COMMANDS, KIND_TOKENS, main
+from domkit.cli import COMMANDS, KIND_TOKENS, PRODUCT_KIND_TOKENS, main
 from domkit.graphs import (
     build_standard,
     format_edge_list,
@@ -256,18 +256,36 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(p5), "--kind", "dom")
         assert code == 1 and out == "" and "non-negative" in err
 
-    @pytest.mark.parametrize("text, cap, message", [
-        ("5\n", None, "error: edge list must start with 'n m'"),
-        ("2 1\n0 x\n", None, "error: malformed edge list"),
-        ("5 4\n0 1\n1 2\n2 3\n3 4\n", "abc", "error: DOMKIT_MAX_N must be an integer"),
+    @pytest.mark.parametrize("data, cap, message", [
+        (b"5\n", None, "error: edge list must start with 'n m'"),
+        (b"2 1\n0 x\n", None, "error: malformed edge list"),
+        (b"5 4\n0 1\n1 2\n2 3\n3 4\n", "abc", "error: DOMKIT_MAX_N must be an integer"),
+        # a comment is decoded too, and a BOM is not skipped
+        (b"3 1\n0 1\n# caf\xe9\n", None, "error: 'utf-8' codec can't decode byte 0xe9 in "
+         "position 13: invalid continuation byte\n"),
+        (b"\xef\xbb\xbf3 1\n0 1\n", None, "error: malformed edge list: invalid literal for "
+         "int() with base 10: '\\ufeff3'\n"),
     ])
-    def test_bad_input_exits_1(self, tmp_path, capsys, monkeypatch, text, cap, message):
+    def test_bad_input_exits_1(self, tmp_path, capsys, monkeypatch, data, cap, message):
         graph = tmp_path / "g.el"
-        graph.write_text(text)
+        graph.write_bytes(data)
         if cap is not None:
             monkeypatch.setenv("DOMKIT_MAX_N", cap)
         code, out, err = run(capsys, "solve", str(graph), "--kind", "dom")
         assert (code, out) == (1, "") and err.startswith(message)
+
+    @pytest.mark.parametrize("text", [
+        "# triangle\r\n3 3\r\n0 1 # first\r\n1 2\r\n0 2\r\n",
+        "# triangle\n3 3\n0 1 # first\f1 2\n0 2\n",
+        "# triangle\u20283 3\n0 1 # first\u20281 2\n0 2\n",
+    ])
+    def test_any_line_boundary_reads_as_lf(self, tmp_path, capsys, text):
+        lf, other = tmp_path / "lf.el", tmp_path / "other.el"
+        lf.write_bytes(b"# triangle\n3 3\n0 1 # first\n1 2\n0 2\n")
+        other.write_bytes(text.encode("utf-8"))
+        expected = run(capsys, "solve", str(lf), "--kind", "t1k", "--k", "2")
+        assert expected[0] == 0 and json.loads(expected[1])["gamma"] == 2
+        assert run(capsys, "solve", str(other), "--kind", "t1k", "--k", "2") == expected
 
     def test_negative_limit_exits_64(self, capsys, c5_file):
         code, out, err = run(capsys, "solve", c5_file, "--kind", "dom", "--limit", "-1")
@@ -453,6 +471,19 @@ class TestTheorem:
     def test_bad_k_exits_64(self, capsys, c5_file, c4_file, argv, message):
         code, out, err = run(capsys, "theorem", argv[0], c5_file, c4_file, *argv[1:])
         assert code == 64 and out == "" and message in err
+
+    @pytest.mark.parametrize("argv", [
+        *(("product-gamma", "--kind", token) for token in PRODUCT_KIND_TOKENS),
+        ("total",), ("independent",),
+    ])
+    def test_empty_second_factor_exits_1(self, tmp_path, capsys, c5_file, argv):
+        k0, k2 = tmp_path / "k0.el", tmp_path / "k2.el"
+        k0.write_text("0 0\n")
+        k2.write_text("2 1\n0 1\n")
+        for g in (c5_file, str(k2)):
+            for extra in ((), ("--compare-oracle",)):
+                result = run(capsys, "theorem", argv[0], g, str(k0), *argv[1:], *extra)
+                assert result == (1, "", "error: second factor must have at least one vertex\n")
 
     def test_disconnected_factor_exits_1(self, tmp_path, capsys, c4_file):
         bad = tmp_path / "disc.el"

@@ -12,6 +12,7 @@ from domkit.graphs import (
     Graph,
     ProductIndex,
     build_standard,
+    check_vertex_cap,
     complement,
     distance,
     format_edge_list,
@@ -326,6 +327,107 @@ class TestEdgeListFormat:
     @given(graphs_strategy(7))
     def test_round_trip_random(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def parse_edge_list_by_lines(text, max_n=None):
+    """The per-line reader that ``parse_edge_list`` replaced, kept as its reference."""
+    tokens = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            tokens.extend(line.split())
+    if len(tokens) < 2:
+        raise ValueError("edge list must start with 'n m'")
+    try:
+        numbers = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"malformed edge list: {exc}") from None
+    n, m = numbers[0], numbers[1]
+    if len(numbers) != 2 + 2 * m:
+        raise ValueError(f"expected {m} edges, found {(len(numbers) - 2) / 2:g}")
+    if max_n is not None:
+        check_vertex_cap(n, max_n)
+    edges = [(numbers[i], numbers[i + 1]) for i in range(2, len(numbers), 2)]
+    return Graph(n, edges)
+
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # every str.splitlines boundary
+BLANKS = " \t\x1f\xa0\u3000"  # whitespace that ends no line
+ALPHABET = "0123456789+-_#" + LINE_BREAKS + BLANKS + "\ufeff\u0663"  # a BOM, Arabic-Indic 3
+
+
+def random_edge_list(rng):
+    """An edge-list text in the alphabet: mostly a valid graph with unusual
+    separators, signs, underscores and comments, sometimes mutated."""
+    n = rng.randint(0, 6)
+    pairs = [(rng.randrange(n + 1), rng.randrange(n + 1)) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.8:
+        pairs = [(u, v) for u, v in pairs if u != v and max(u, v) < n]
+
+    def token(value):
+        text = str(value)
+        roll = rng.random()
+        if roll < 0.1:
+            return "+" + text
+        if roll < 0.15:
+            return "0_" + text
+        if roll < 0.2:
+            return text.replace("3", "\u0663")
+        return text
+
+    def gap(breaking):
+        pool = LINE_BREAKS if breaking else BLANKS
+        out = "".join(rng.choice(pool) for _ in range(rng.randint(1, 2)))
+        if breaking and rng.random() < 0.3:
+            comment = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 6)))
+            out = " #" + comment.translate({ord(c): None for c in LINE_BREAKS}) + out
+        return out
+
+    parts = [gap(True)] if rng.random() < 0.3 else []
+    for u, v in [(n, len(pairs)), *pairs]:
+        parts += [token(u), gap(False), token(v), gap(True)]
+    chars = list("".join(parts))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        at = rng.randrange(len(chars) + 1)
+        chars[at:at + rng.randint(0, 1)] = rng.choice(ALPHABET)
+    return "".join(chars)
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeListDifferential:
+    """``parse_edge_list`` and ``load_graph`` against the per-line reference on
+    seeded random texts: the same graph, or the same error and message."""
+
+    def test_texts_match_the_per_line_reader(self):
+        rng = random.Random(0x5EED27)
+        valid = 0
+        for i in range(3000):
+            text = random_edge_list(rng)
+            max_n = (None, 4)[i % 2]
+            expected = outcome(parse_edge_list_by_lines, text, max_n)
+            assert outcome(parse_edge_list, text, max_n) == expected, repr(text)
+            valid += isinstance(expected, Graph)
+        assert valid >= 1000
+
+    def test_files_match_the_text_mode_reader(self, tmp_path):
+        def by_lines(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                return parse_edge_list_by_lines(fh.read())
+
+        rng = random.Random(0xF11E)
+        target = tmp_path / "g.el"
+        for _ in range(300):
+            data = bytearray(random_edge_list(rng).encode("utf-8"))
+            if rng.random() < 0.2:  # an undecodable byte
+                data.insert(rng.randrange(len(data) + 1), rng.choice((0xE9, 0xFF, 0x80)))
+            target.write_bytes(bytes(data))
+            assert outcome(load_graph, str(target)) == outcome(by_lines, str(target)), data
 
 
 class TestWriteText:

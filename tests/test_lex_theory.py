@@ -318,6 +318,30 @@ class TestProductGamma:
             product_gamma(P(2), P(2), "one_2", k=3)
 
 
+class TestEmptySecondFactor:
+    """An H with no vertices leaves no H-vertex for a layer plan to name, so
+    every prediction, characterization and oracle check rejects it."""
+
+    @staticmethod
+    def assert_rejected(call):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == "second factor must have at least one vertex"
+
+    @pytest.mark.parametrize("kind", lex_theory.PRODUCT_GAMMA_KINDS)
+    def test_product_gamma_rejects(self, kind):
+        for g in (K1, P(2), C(6)):
+            self.assert_rejected(lambda: product_gamma(g, Graph(0), kind))
+            self.assert_rejected(lambda: verify_against_oracle(g, Graph(0), kind))
+
+    @pytest.mark.parametrize("which", sorted(lex_theory.CHARACTERIZATIONS))
+    def test_characterizations_reject(self, which):
+        characterize, _ = lex_theory.CHARACTERIZATIONS[which]
+        for g in (K1, P(2), C(6)):
+            self.assert_rejected(lambda: characterize(g, Graph(0), 2))
+            self.assert_rejected(lambda: verify_membership_against_oracle(g, Graph(0), which, 2))
+
+
 SPIDER = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5)])
 
 
@@ -346,6 +370,15 @@ class TestTotalOne2Prediction:
         if m == 2:
             assert r.witness_oracle == (0, 1, 8, 9, 10, 11)
         assert characterize_total(SPIDER, h, 2).membership
+
+    @pytest.mark.parametrize("m, witness", [(2, (2, 4, 6)), (5, (5, 10, 15))])
+    def test_spider_with_complete_layer_at_k3(self, m, witness):
+        # condition 2: a total [1,3]-set of the spider, one vertex per layer
+        h = build_standard("complete", m)
+        assert min_set(lex_product(SPIDER, h)[0], total_one_k(3)).gamma == 3
+        r = verify_membership_against_oracle(SPIDER, h, "total", 3)
+        assert r.agree and r.prediction is r.oracle is True
+        assert (r.matched_condition, r.witness_pred) == (2, witness)
 
     def test_atlas_grid_against_exhaustive_search(self):
         kind = total_one_k(2)
