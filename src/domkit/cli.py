@@ -17,6 +17,7 @@ from .domsets import SetKind, base_parameters
 from .graphs import (
     Graph,
     build_standard,
+    edge_list_text,
     format_edge_list,
     lex_product,
     load_graph,
@@ -29,7 +30,7 @@ from .lex_theory import (
     verify_against_oracle,
     verify_membership_against_oracle,
 )
-from .npc import X3CInstance, build_gadget, check_gadget_cap, decide_x3c, x3c_from_json
+from .npc import X3CInstance, check_gadget_cap, decide_x3c, gadget_layout, x3c_from_json
 from .solvers import (
     GraphTooLargeError,
     check_closed_form_k,
@@ -109,8 +110,13 @@ def _load(path: str, force: bool) -> Graph:
 
 
 def _load_instance(path: str) -> X3CInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return x3c_from_json(fh.read())
+    """The instance at ``path``, its bytes decoded once; line ends read as in
+    text mode, so a JSON error names the same line and column."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return x3c_from_json(text)
 
 
 def _cmd_gen(args) -> int:
@@ -175,13 +181,13 @@ def _cmd_theorem(args) -> int:
 def _cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
     check_gadget_cap(inst, force=args.force)
-    graph, meta = build_gadget(inst)
-    outputs = [(args.output, format_edge_list(graph))]
+    edges, meta = gadget_layout(inst)
+    outputs = [(args.output, edge_list_text(meta.num_vertices, len(edges), edges))]
     if args.meta:
         outputs.append((args.meta, meta.to_sidecar_json()))
     write_outputs(outputs)
     if args.output:
-        print(f"wrote {args.output} ({graph.n} vertices, budget {meta.budget})",
+        print(f"wrote {args.output} ({meta.num_vertices} vertices, budget {meta.budget})",
               file=sys.stderr)
     return EXIT_OK
 

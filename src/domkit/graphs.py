@@ -7,8 +7,9 @@ those masks, and neighbour sets are derived from them on request.  Product
 vertices use the fixed encoding ``id(g, h) = g * n_h + h`` so that witnesses
 and reports are reproducible across runs.  An edge list is read in one pass
 (``parse_edge_list``: one regex drops the comments, one ``str.split`` gives
-every token) and written by ``format_edge_list``.  Every output file is
-written by ``write_outputs``, as UTF-8 bytes at the descriptor.
+every token) and written by ``edge_list_text``, which ``format_edge_list``
+and ``domkit reduce`` share.  Every output file is written by
+``write_outputs``, as UTF-8 bytes at the descriptor.
 """
 
 from __future__ import annotations
@@ -273,12 +274,19 @@ def lex_product(g: Graph, h: Graph) -> tuple[Graph, ProductIndex]:
 _COMMENT = re.compile(r"#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
-def format_edge_list(graph: Graph) -> str:
-    names = [str(v) for v in range(graph.n)]
-    lines = [f"{graph.n} {graph.num_edges}"]
-    lines.extend(f"{names[u]} {names[v]}" for u, v in graph.edges())
+def edge_list_text(n: int, m: int, edges: Iterable[Edge]) -> str:
+    """Edge-list text of ``n`` vertices and the ``m`` ``edges``, written as
+    given: the canonical form when they are (u, v) with u < v in ascending
+    order."""
+    names = [str(v) for v in range(n)]
+    lines = [f"{n} {m}"]
+    lines.extend(f"{names[u]} {names[v]}" for u, v in edges)
     lines.append("")
     return "\n".join(lines)
+
+
+def format_edge_list(graph: Graph) -> str:
+    return edge_list_text(graph.n, graph.num_edges, graph.edges())
 
 
 def parse_edge_list(text: str, max_n: int | None = None) -> Graph:
@@ -311,14 +319,16 @@ def write_outputs(outputs: list[tuple[str | None, str]]) -> None:
     """Write each text to its path as UTF-8, or to stdout where the path is empty.
 
     Every path is opened before anything is written, so a path that fails to
-    open leaves every output unwritten and removes the files that the earlier
-    opens created, the target of a dangling symlink among them.  A new file
-    gets mode 0o666 less the umask.  An existing file is rewritten in place,
-    not truncated to zero first, which on ext4
-    measured 6-19 times slower (most likely the ``auto_da_alloc`` flush on
-    truncate).  Only a regular file longer than the new bytes is then cut, so
-    ``/dev/null``, terminals and FIFOs work as targets.  On POSIX the bytes
-    are those of ``open(path, "w", encoding="utf-8")``.
+    open leaves every output unwritten and removes the files that the opens
+    created, the target of a dangling symlink among them.  Two paths that
+    name one regular file, the same path or through a symlink or a hard link,
+    do the same and raise ``ValueError``.  A new file gets mode 0o666 less
+    the umask.  An existing file is rewritten in place, not truncated to zero
+    first, which on ext4 measured 6-19 times slower (most likely the
+    ``auto_da_alloc`` flush on truncate).  Only a regular file longer than
+    the new bytes is then cut, so ``/dev/null``, terminals and FIFOs work as
+    targets.  On POSIX the bytes are those of ``open(path, "w",
+    encoding="utf-8")``.
     """
     created = []  # the files the opens create: missing paths, and dangling links' targets
     for path, _ in outputs:
@@ -331,16 +341,23 @@ def write_outputs(outputs: list[tuple[str | None, str]]) -> None:
         try:
             for path, _ in outputs:
                 fds.append(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666) if path else None)
-        except OSError:
+            olds = [None if fd is None else os.fstat(fd) for fd in fds]
+            named = {}  # (st_dev, st_ino) of each regular file -> its path
+            for old, (path, _) in zip(olds, outputs):
+                if old is not None and stat.S_ISREG(old.st_mode):
+                    key = (old.st_dev, old.st_ino)
+                    if key in named:
+                        raise ValueError(f"two outputs name one file: {named[key]} and {path}")
+                    named[key] = path
+        except (OSError, ValueError):
             for path in filter(os.path.lexists, created):  # skips the unopened ones
                 os.unlink(path)
             raise
-        for fd, (_, text) in zip(fds, outputs):
+        for fd, old, (_, text) in zip(fds, olds, outputs):
             if fd is None:
                 sys.stdout.write(text)
                 continue
             data = text.encode("utf-8")
-            old = os.fstat(fd)
             written = os.write(fd, data)
             while written < len(data):
                 written += os.write(fd, data[written:])

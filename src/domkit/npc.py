@@ -4,8 +4,10 @@ Each 3-set gets a 4-cycle with an anchor vertex and three connector vertices;
 each universe element attaches to all three connectors of every set containing
 it.  A cover of size q corresponds to a total [1,2]-set of size 2t + q, which
 is also the budget of the decision question.  The gadget's 7t + 3q vertices
-are checked against the solver cap before the gadget is built, and the
-sidecar's role map is formatted from the fixed id layout.
+are checked against the solver cap before the gadget is built.  Its edges
+(``gadget_layout``) and the sidecar's role map are both read off the fixed id
+layout, so ``domkit reduce`` writes the gadget's text without building a
+``Graph``; only the searches and the witness checks build one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .domsets import satisfies, total_one_k
-from .graphs import Graph
+from .graphs import Edge, Graph
 from .solvers import check_cap, exists_set, min_set
 
 
@@ -65,6 +67,10 @@ class GadgetMeta:
     connectors: tuple[tuple[int, int, int], ...]
     elements: tuple[int, ...]
 
+    @property
+    def num_vertices(self) -> int:
+        return 7 * self.num_sets + self.universe_size
+
     def anchor(self, i: int) -> int:
         return self.cycles[i][0]
 
@@ -98,26 +104,36 @@ def check_gadget_cap(inst: X3CInstance, force: bool = False) -> None:
     check_cap(7 * inst.num_sets + inst.universe_size, force)
 
 
-def build_gadget(inst: X3CInstance) -> tuple[Graph, GadgetMeta]:
-    """Deterministic gadget graph on 7t + 3q vertices with budget 2t + q."""
+def gadget_layout(inst: X3CInstance) -> tuple[list[Edge], GadgetMeta]:
+    """The gadget's edges, (u, v) with u < v in ascending order, read off the
+    id layout, and its ``GadgetMeta``.
+
+    Set i's block 4i..4i+3 meets its connectors c..c+2 (c = 4t + 3i) through
+    the anchor 4i; each connector then meets the set's elements 7t + x.
+    """
     t = inst.num_sets
     q = inst.q
+    edges: list[Edge] = []
+    for i in range(t):
+        a, c = 4 * i, 4 * t + 3 * i
+        edges += ((a, a + 1), (a, a + 3), (a, c), (a, c + 1), (a, c + 2),
+                  (a + 1, a + 2), (a + 2, a + 3))
+    base = 7 * t
+    for i, triple in enumerate(inst.sets):
+        x, y, z = sorted(triple)
+        c = 4 * t + 3 * i
+        for v in (c, c + 1, c + 2):
+            edges += ((v, base + x), (v, base + y), (v, base + z))
     cycles = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(t))
     connectors = tuple(tuple(range(4 * t + 3 * i, 4 * t + 3 * i + 3)) for i in range(t))
-    elements = tuple(range(7 * t, 7 * t + 3 * q))
-    edges: list[tuple[int, int]] = []
-    for u, a, b, c in cycles:
-        edges += [(u, a), (a, b), (b, c), (c, u)]
-    for i in range(t):
-        u = cycles[i][0]
-        for v in connectors[i]:
-            edges.append((u, v))
-        for x in inst.sets[i]:
-            for v in connectors[i]:
-                edges.append((elements[x], v))
-    graph = Graph(7 * t + 3 * q, edges)
-    meta = GadgetMeta(t, inst.universe_size, 2 * t + q, cycles, connectors, elements)
-    return graph, meta
+    elements = tuple(range(base, base + 3 * q))
+    return edges, GadgetMeta(t, inst.universe_size, 2 * t + q, cycles, connectors, elements)
+
+
+def build_gadget(inst: X3CInstance) -> tuple[Graph, GadgetMeta]:
+    """Deterministic gadget graph on 7t + 3q vertices with budget 2t + q."""
+    edges, meta = gadget_layout(inst)
+    return Graph(meta.num_vertices, edges), meta
 
 
 def _check_exact_cover(inst: X3CInstance, cover: frozenset[int]) -> None:

@@ -591,7 +591,8 @@ class TestReduceAndDecide:
 
         monkeypatch.setattr(npc, "_has_exact_cover", refuse)
         monkeypatch.setattr(npc, "build_gadget", refuse)
-        monkeypatch.setattr(cli, "build_gadget", refuse)
+        monkeypatch.setattr(npc, "gadget_layout", refuse)
+        monkeypatch.setattr(cli, "gadget_layout", refuse)
         for mode in ("both", "via_gadget", "brute_force"):
             code, out, err = run(capsys, "decide-x3c", eighteen_sets, "--mode", mode)
             assert (code, out) == (3, "") and "135 vertices, cap is 32" in err
@@ -663,6 +664,55 @@ class TestReduceAndDecide:
         inst.write_text('{"universe": 6.9, "sets": [[0,1,2],[3,4,5.7]]}')
         code, out, err = run(capsys, "decide-x3c", str(inst))
         assert code == 1 and out == "" and "not an integer" in err
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"universe": 3, "sets": [[0, 1, 2]]}\xff',
+         "'utf-8' codec can't decode byte 0xff in position 36: invalid start byte"),
+        (b'\xef\xbb\xbf{"universe": 3, "sets": [[0, 1, 2]]}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ('{"universe": 3, "sets": [[0, 1, 2]]}'.encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b'{"universe": 3, "sets": [[0, 1, 2.0]]}',
+         "malformed instance JSON: 2.0 is not an integer"),
+        (b'{"universe": 3, "sets": [5]}',
+         "malformed instance JSON: 'int' object is not iterable"),
+        # CR LF and a lone CR each end one line, as when the file is read in text mode
+        (b'{"universe": 3,\r\n "sets": [[0, 1, 2]\r\n\r "x"}',
+         "Expecting ',' delimiter: line 4 column 2 (char 38)"),
+        (b'{"universe": 3, "sets": [[0, 1, 2]], "a\r": 1}',
+         "Invalid control character at: line 1 column 40 (char 39)"),
+    ])
+    @pytest.mark.parametrize("command", ("reduce", "decide-x3c"))
+    def test_unreadable_instance_exits_1(self, tmp_path, capsys, command, data, message):
+        inst = tmp_path / "inst.json"
+        inst.write_bytes(data)
+        assert run(capsys, command, str(inst)) == (1, "", f"error: {message}\n")
+
+    def test_crlf_instance_reads_as_lf(self, tmp_path, capsys):
+        inst, crlf = tmp_path / "inst.json", tmp_path / "crlf.json"
+        inst.write_bytes(b'{"universe": 3,\n "sets":\n [[0, 1, 2]]}\n')
+        crlf.write_bytes(b'{"universe": 3,\r\n "sets":\r [[0, 1, 2]]}\r\n')
+        for command in ("reduce", "decide-x3c"):
+            assert run(capsys, command, str(crlf)) == run(capsys, command, str(inst))
+
+    @pytest.mark.parametrize("command", ("reduce", "product"))
+    def test_two_outputs_naming_one_file_exit_1(self, tmp_path, capsys, c5_file, c4_file,
+                                                command):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"universe": 3, "sets": [[0, 1, 2]]}))
+        argv = ((command, str(inst), "--meta") if command == "reduce"
+                else (command, c5_file, c4_file, "--layer-map"))
+        out_file, link, hard = tmp_path / "out", tmp_path / "link", tmp_path / "hard"
+        code, out, err = run(capsys, *argv, str(out_file), "-o", str(out_file))
+        assert (code, out) == (1, "") and "name one file" in err
+        assert not out_file.exists()
+        out_file.write_text("old contents\n")
+        link.symlink_to(out_file)
+        os.link(out_file, hard)
+        for other in (out_file, link, hard):
+            code, out, err = run(capsys, *argv, str(other), "-o", str(out_file))
+            assert (code, out) == (1, "") and "name one file" in err
+        assert out_file.read_text() == "old contents\n"
 
     def test_gadget_stdout_parses(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

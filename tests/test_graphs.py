@@ -501,6 +501,21 @@ class TestWriteText:
         assert target.read_bytes() == format_edge_list(graph).encode("utf-8")
         assert load_graph(str(target)) == graph
 
+    def test_one_file_named_twice_writes_nothing(self, tmp_path, capsys):
+        old, fresh = tmp_path / "old.el", tmp_path / "fresh.el"
+        old.write_text("old contents\n")
+        (tmp_path / "link.el").symlink_to(old)
+        os.link(old, tmp_path / "hard.el")
+        for second in ("old.el", "link.el", "hard.el"):
+            with pytest.raises(ValueError, match="name one file"):
+                write_outputs([(str(old), "new\n"), (None, "out"),
+                               (str(tmp_path / second), "{}")])
+        with pytest.raises(ValueError, match="name one file"):
+            write_outputs([(str(fresh), "new\n"), (str(fresh), "{}")])
+        assert old.read_text() == "old contents\n"
+        assert not fresh.exists()
+        assert capsys.readouterr().out == ""
+
     def test_unopenable_second_path_writes_nothing(self, tmp_path, capsys):
         # a directory cannot be opened for writing
         old, fresh = tmp_path / "old.el", tmp_path / "fresh.el"

@@ -1,20 +1,22 @@
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
 
 from conftest import exact_covers, x3c_catalog
 
-from domkit import npc
+from domkit import cli, npc
 from domkit.domsets import satisfies, total_one_k
-from domkit.graphs import GraphTooLargeError, format_edge_list
+from domkit.graphs import Graph, GraphTooLargeError, edge_list_text, format_edge_list
 from domkit.npc import (
     X3CInstance,
     build_gadget,
     check_gadget_cap,
     cover_to_witness,
     decide_x3c,
+    gadget_layout,
     minimum_gadget_witness,
     witness_to_cover,
     x3c_from_json,
@@ -156,6 +158,82 @@ class TestOutputBytes:
                 {"budget": meta.budget, "roles": roles}), inst
 
 
+def reference_gadget(inst: X3CInstance) -> Graph:
+    """The gadget as ``build_gadget`` built it edge by edge before its edges
+    were read off the id layout."""
+    t = inst.num_sets
+    q = inst.q
+    cycles = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(t))
+    connectors = tuple(tuple(range(4 * t + 3 * i, 4 * t + 3 * i + 3)) for i in range(t))
+    elements = tuple(range(7 * t, 7 * t + 3 * q))
+    edges: list[tuple[int, int]] = []
+    for u, a, b, c in cycles:
+        edges += [(u, a), (a, b), (b, c), (c, u)]
+    for i in range(t):
+        u = cycles[i][0]
+        for v in connectors[i]:
+            edges.append((u, v))
+        for x in inst.sets[i]:
+            for v in connectors[i]:
+                edges.append((elements[x], v))
+    return Graph(7 * t + 3 * q, edges)
+
+
+def relabeled(rng: random.Random, inst: X3CInstance) -> X3CInstance:
+    """The same instance up to renaming elements and reordering sets and triples."""
+    names = list(range(inst.universe_size))
+    rng.shuffle(names)
+    sets = [[names[x] for x in triple] for triple in inst.sets]
+    for triple in sets:
+        rng.shuffle(triple)
+    rng.shuffle(sets)
+    return X3CInstance(inst.universe_size, tuple(map(tuple, sets)))
+
+
+class TestLayout:
+    """``gadget_layout`` against the per-edge construction it replaced."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(28)
+        catalog = x3c_catalog()
+        yield from catalog
+        for inst in catalog:
+            for _ in range(3):
+                yield relabeled(rng, inst)
+        triples = [(0, a, b) for a, b in combinations(range(1, 9), 2)]
+        for t in (5, 14, 18, len(triples)):  # 44 to 205 vertices, over the cap of 32
+            yield X3CInstance(9, tuple(triples[:t]))
+            yield relabeled(rng, X3CInstance(9, tuple(triples[:t])))
+        yield X3CInstance(6, ((0, 1, 2),) * 24)
+
+    def test_layout_matches_the_per_edge_gadget(self):
+        count = 0
+        for inst in self.instances():
+            edges, meta = gadget_layout(inst)
+            reference = reference_gadget(inst)
+            assert Graph(meta.num_vertices, edges) == reference, inst
+            assert edges == list(reference.edges()), inst
+            text = edge_list_text(meta.num_vertices, len(edges), edges)
+            assert text == format_edge_list(reference), inst
+            assert build_gadget(inst) == (reference, meta), inst
+            count += 1
+        assert count == 4 * 1351 + 9
+
+    def test_reduce_writes_the_per_edge_gadget_above_the_cap(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        triples = [(0, a, b) for a, b in combinations(range(1, 9), 2)][:18]
+        inst = X3CInstance(9, tuple(triples))
+        path = tmp_path / "many.json"
+        path.write_text(x3c_to_json(inst))
+        assert cli.main(["reduce", str(path), "--force"]) == 0
+        out = capsys.readouterr().out
+        assert out == format_edge_list(reference_gadget(inst))
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7f7a715409a45f8d6c5c3c54d9d57aad98e28136fadeca80bd4425cbecb7dc3a")
+
+
 class TestCapBeforeGadget:
     @pytest.fixture
     def no_gadget(self, monkeypatch):
@@ -163,6 +241,7 @@ class TestCapBeforeGadget:
             raise AssertionError("gadget built before the cap check")
 
         monkeypatch.setattr(npc, "build_gadget", refuse)
+        monkeypatch.setattr(npc, "gadget_layout", refuse)
 
     def test_over_cap_refused_before_building(self, no_gadget, monkeypatch):
         inst = X3CInstance(6, ((0, 1, 2), (3, 4, 5), (1, 2, 3)))  # 27 vertices
