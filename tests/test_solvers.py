@@ -215,26 +215,29 @@ class TestGuess:
 
 
 class TestSweepAfterFailedPasses:
-    """After two deepening passes that find no set, ``min_set`` runs one
-    variable-size sweep; it must change only ``nodes_explored``, never the
-    answer or the witness of deepening alone."""
+    """After two deepening passes that find no set, ``min_set`` asks the
+    existence walk whether any set is left; it must change only
+    ``nodes_explored``, never the answer or the witness of deepening alone."""
 
     @staticmethod
     def _recording(monkeypatch):
-        """Patch ``_Search`` so that each sweep run inside deepening appends
+        """Patch ``_Search`` so that each walk run inside deepening appends
         whether it found a set."""
         sweeps = []
 
         class Recorded(_Search):
-            __slots__ = ("depth",)
+            __slots__ = ("deepening",)
 
             def run(self, *args, **kwargs):
-                self.depth = getattr(self, "depth", 0) + 1
+                self.deepening = True
                 try:
-                    found = super().run(*args, **kwargs)
+                    return super().run(*args, **kwargs)
                 finally:
-                    self.depth -= 1
-                if self.depth:
+                    self.deepening = False
+
+            def exists(self, limit):
+                found = super().exists(limit)
+                if getattr(self, "deepening", False):
                     sweeps.append(found)
                 return found
 
@@ -276,6 +279,88 @@ class TestSweepAfterFailedPasses:
             for kind in (dominating(), total_dominating(), one_k(100)):
                 min_set(g, kind)
         assert sweeps == []
+
+
+def _first_set(g, kind):
+    """Size and lexicographically first set of the smallest size, by a
+    subset scan with ``satisfies``; (None, None) when no set exists."""
+    for size in range(g.n + 1):
+        for combo in combinations(range(g.n), size):
+            if satisfies(g, combo, kind):
+                return size, combo
+    return None, None
+
+
+class TestExistenceWalk:
+    """``_Search.exists`` answers ``exists_set``, ``min_set``'s guess and the
+    question deepening asks after two failed passes.  It joins forced
+    vertices, branches on the unmet vertex with the fewest suppliers and
+    excludes each tried supplier, and a supplier whose lower twin is
+    excluded; every answer must be that of a subset scan."""
+
+    @staticmethod
+    def _graphs():
+        rng = random.Random(0x3A1C)
+        graphs = []
+        # lex products, where every twin pair of H recurs in each layer
+        for g_n, h_n in ((2, 2), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3),
+                         (5, 2), (6, 2)):
+            for p in (0.35, 0.7):
+                product = lex_product(random_connected_graph(rng, g_n, p),
+                                      random_graph(rng, h_n, p))[0]
+                graphs.append(product if rng.random() < 0.5 else _relabelled(rng, product))
+        for n in range(1, 10):
+            for p in (0.2, 0.45, 0.7, 0.9):
+                graphs.append(random_graph(rng, n, p))
+        return graphs
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """Patch ``_Search`` to count walk nodes where vertices over hi_out
+        must join, and where one of them is already excluded."""
+        seen = {"forced": 0, "forced_excluded": 0}
+
+        class Recorded(_Search):
+            def _walk(self, mask, excluded, levels, left):
+                must = 0 if self.hi_out is None else levels[self.hi_out] & ~mask
+                if must and self.hi_in is None:
+                    seen["forced"] += 1
+                    seen["forced_excluded"] += bool(must & excluded)
+                return super()._walk(mask, excluded, levels, left)
+
+        monkeypatch.setattr(solvers, "_Search", Recorded)
+        return seen
+
+    def test_exists_set_and_guesses_match_a_subset_scan(self, monkeypatch):
+        seen = self._recording(monkeypatch)
+        kinds = _kinds_k_up_to_3()
+        assert {kind.base for kind in kinds} == set(BASES)
+        checks = 0
+        for g in self._graphs():
+            assert g.n <= 12
+            for kind in kinds:
+                gamma, witness = _first_set(g, kind)
+                for limit in range(g.n + 1):
+                    within = gamma is not None and gamma <= limit
+                    assert exists_set(g, kind, limit=limit) is within, (g, kind, limit)
+                for guess in range(g.n + 3):
+                    r = min_set(g, kind, guess=guess)
+                    assert (r.gamma, r.witness) == (gamma, witness), (g, kind, guess)
+                checks += 2 * g.n + 4
+        assert checks >= 20000
+        # both forced-join cuts of the walk were reached
+        assert seen["forced"] >= 2000 and seen["forced_excluded"] >= 1000
+
+    def test_node_counts_repeat(self):
+        kinds = _kinds_k_up_to_3()
+        for g in self._graphs()[::3]:
+            for kind in kinds:
+                counts = []
+                for _ in range(2):
+                    search = _Search(g, kind, break_twins=True)
+                    search.exists(g.n)
+                    counts.append((search.nodes, min_set(g, kind, guess=g.n + 1).nodes_explored))
+                assert counts[0] == counts[1], (g, kind)
 
 
 class TestPackingBound:
@@ -348,9 +433,9 @@ class TestPackingBound:
         searches = []
 
         class Recorded(_Search):
-            def run(self, *args, **kwargs):
+            def exists(self, limit):
                 searches.append(self)
-                return super().run(*args, **kwargs)
+                return super().exists(limit)
 
         monkeypatch.setattr(solvers, "_Search", Recorded)
         catalog = x3c_catalog()
@@ -375,13 +460,15 @@ class TestSearchEffort:
             two.gamma, two.witness, two.nodes_explored)
 
     def test_sweep_stops_at_the_first_dead_candidate(self):
-        # exists_set's sweep on two X3C gadgets: 6,330 and 1,020 nodes when
-        # every dead candidate was still entered as a child
-        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 1102),
-                                   (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 168)):
+        # the existence walk on two X3C gadgets, without the twin table: it
+        # stops at an unmet vertex with no supplier left.  The variable-size
+        # sweep took 1,102 and 168 nodes, and 6,330 and 1,020 when every dead
+        # candidate was still entered as a child
+        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 655),
+                                   (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 9)):
             graph, meta = build_gadget(X3CInstance(6, sets))
             search = _Search(graph, total_one_k(2))
-            assert search.run(0, meta.budget, lambda mask: True, any_size=True) is found
+            assert search.exists(meta.budget) is found
             assert search.nodes <= nodes
 
 
@@ -590,19 +677,20 @@ class TestTwinCut:
 
     def test_x3c_sweep_with_three_sets(self, monkeypatch):
         # 501,150 nodes over the 480 gadgets that search before the twin cut,
-        # and 90,285 before the packing bound settled the 300 no-instances
+        # 90,285 before the packing bound settled the 300 no-instances, and
+        # 16,605 in the variable-size sweep before the existence walk
         searches = []
 
         class Recorded(_Search):
-            def run(self, *args, **kwargs):
+            def exists(self, limit):
                 searches.append(self)
-                return super().run(*args, **kwargs)
+                return super().exists(limit)
 
         monkeypatch.setattr(solvers, "_Search", Recorded)
         found = sum(decide_x3c(X3CInstance(6, sets))
                     for sets in combinations(combinations(range(6), 3), 3))
         assert (found, len(searches)) == (180, 180)
-        assert sum(search.nodes for search in searches) <= 16605
+        assert sum(search.nodes for search in searches) <= 1620
 
     def test_closed_twins_of_a_product(self):
         # 10,167 nodes before the twin cut; the layers of C14 o P2 are pairs
@@ -669,9 +757,11 @@ class TestPinnedSearchWork:
                      (10, 17), (11, 16), (12, 16), (13, 15), (16, 17)])
 
     def test_exact_deepening(self):
-        # 23,922 before the sweep after two failed passes, which here finds V
+        # 23,922 before the question after two failed passes, which here
+        # finds V: 23,954 when a variable-size sweep asked it, 23,953 now
+        # that the existence walk does
         r = min_set(self.C5_C6, one_k(2))
-        assert (r.gamma, r.nodes_explored) == (30, 23954)
+        assert (r.gamma, r.nodes_explored) == (30, 23953)
 
     def test_nonexistence_proof(self):
         r = min_set(self.C5_C6, total_one_k(2))
@@ -679,9 +769,10 @@ class TestPinnedSearchWork:
 
     def test_nonexistence_settled_by_the_sweep(self):
         # 9,816 when deepening alone proves every size empty, 1,941 before
-        # the first failed pass let deepening skip to the packing
+        # the first failed pass let deepening skip to the packing, and 1,870
+        # when a variable-size sweep settled it; the existence walk takes 6
         r = min_set(self.G18, total_one_k(2))
-        assert (r.exists, r.nodes_explored) == (False, 1870)
+        assert (r.exists, r.nodes_explored) == (False, 12)
 
     def test_deepening_jumps_to_the_packing(self):
         # 869 before: after the failed pass at size 3 (the counting bound rules
@@ -692,21 +783,31 @@ class TestPinnedSearchWork:
         assert _Search(self.G18, total_dominating()).packing().bit_count() == 6
 
     def test_guessed_deepening(self):
-        # the sweep proves sizes 0..29 empty in one pass, then size 30 is deepened
+        # the existence walk proves sizes 0..29 empty, then size 30 is
+        # deepened; 8,265 when a variable-size sweep did the proof
         r = min_set(self.C5_C6, one_k(2), guess=30)
-        assert (r.gamma, r.nodes_explored) == (30, 8265)
+        assert (r.gamma, r.nodes_explored) == (30, 3977)
 
     def test_guessed_nonexistence_proof(self):
-        # a guess past n: the one sweep settles nonexistence
+        # a guess past n: the one existence walk settles nonexistence; 6,677
+        # when a variable-size sweep did
         r = min_set(self.C5_C6, total_one_k(2), guess=31)
-        assert (r.exists, r.nodes_explored) == (False, 6677)
+        assert (r.exists, r.nodes_explored) == (False, 322)
+
+    def test_guessed_nonexistence_of_an_independent_set(self):
+        # 496 nodes without a guess; 62 when a vertex over the member bound
+        # still counted among the suppliers of the vertex the walk picks
+        r = min_set(self.C5_C6, independent_one_k(2), guess=31)
+        assert (r.exists, r.nodes_explored) == (False, 33)
 
     def test_exists_set_sweep(self):
-        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 1102),
-                                   (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 168)):
+        # the existence walk with exists_set's twin table, before its packing
+        # test; 1,102 and 168 nodes in the variable-size sweep without one
+        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 61),
+                                   (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 9)):
             graph, meta = build_gadget(X3CInstance(6, sets))
-            search = _Search(graph, total_one_k(2))
-            assert search.run(0, meta.budget, lambda mask: True, any_size=True) is found
+            search = _Search(graph, total_one_k(2), break_twins=True)
+            assert search.exists(meta.budget) is found
             assert search.nodes == nodes
 
     def test_scattered_scan(self, monkeypatch):
