@@ -32,6 +32,10 @@ class X3CInstance:
     sets: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        # bool is an int subclass and a float such as 3.0 compares like one,
+        # but x3c_from_json rejects both, and a float cannot index the gadget
+        if type(self.universe_size) is not int:
+            raise ValueError(f"universe size {self.universe_size!r} is not an integer")
         if self.universe_size <= 0 or self.universe_size % 3 != 0:
             raise ValueError("universe size must be a positive multiple of 3")
         if not self.sets:
@@ -40,6 +44,8 @@ class X3CInstance:
             if len(triple) != 3 or len(set(triple)) != 3:
                 raise ValueError(f"set {triple} must have exactly 3 distinct elements")
             for x in triple:
+                if type(x) is not int:
+                    raise ValueError(f"element {x!r} is not an integer")
                 if not (0 <= x < self.universe_size):
                     raise ValueError(f"element {x} outside universe 0..{self.universe_size - 1}")
 

@@ -6,10 +6,8 @@ ids, so the first satisfying set found is the canonical witness.  One
 recursive loop deepens over exact target sizes for ``min_set``,
 ``enumerate_sets`` and the scattered-set scans.  Yes/no questions go to a
 second search, the existence walk (below): ``exists_set``, ``min_set``'s
-guess, and the question ``min_set`` asks when deepening would go on after
-two passes that found no set, so a nonexistence proof costs at most two
-passes and one walk (see ``min_set``).  The walk only answers yes or no;
-every witness comes from deepening.
+guess, and the question ``min_set`` asks after two passes that found no
+set.  The walk only answers yes or no; every witness comes from deepening.
 
 The existence walk asks whether some set has at most ``limit`` members.  It
 keeps a chosen set S and an excluded set X.  It succeeds once no vertex is
@@ -69,15 +67,13 @@ so once another member lies within distance 2 of it no extension is
 scattered and the child is skipped.  The scans accept only scattered sets,
 so their answers are those of the full listing.
 
-Exact-size deepening stops by the termination test of iterative deepening
-(Korf, 1985): a pass in which no cut depended on the target size proves that
-no larger size has a solution either.  The size-dependent cuts are the
-counting bound, the count of vertices that must still join, and the leaf
-level.  The others fire at any size: upper bounds and dead candidates only
-on sets that no extension repairs, the twin and scattered cuts on the set
-and its last pick alone.  A larger target keeps them and only relaxes the
-size-dependent cuts, so when none of those fired it reaches no node beyond
-this pass's tree, tests no set, and a nonexistence proof costs one pass.
+Deepening ends in one of three ways: a pass finds a set, the size limit is
+reached, or the existence walk that ``min_set`` asks after two failed
+passes finds no set of at most the limit.  It asks only for kinds with a
+binding upper bound.  The others are monotone: V is a set if any set is, so
+one has no set only when members need an in-set neighbour and some vertex
+is isolated.  That vertex has no supplier, so no pass gets past its first
+candidate, and the proof costs one node per size.
 
 A packing bounds every set of a kind from below.  Call a vertex's hood its
 closed neighbourhood N[v], or its open one N(v) when members need an in-set
@@ -219,7 +215,7 @@ class _Search:
 
     __slots__ = (
         "n", "adj", "full", "delta", "dead_before", "levels_len", "gain", "hi_in", "hi_out",
-        "member_needs_lo", "hoods", "twin_before", "near", "degrees", "nodes", "size_cut",
+        "member_needs_lo", "hoods", "twin_before", "near", "degrees", "nodes",
     )
 
     def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False,
@@ -263,28 +259,21 @@ class _Search:
         self.near = near
         self.degrees: list[int] | None = None  # ascending, sorted by _size_fits
         self.nodes = 0
-        self.size_cut = False
 
     def run(self, min_size: int, max_size: int, on_solution: Callable[[int], bool],
             walk_after: int = 0, pack: bool = False) -> bool:
         """Explore candidate sets of each exact size from ``min_size`` to
         ``max_size``, one size at a time; sizes ascending, lexicographic
-        within a size.  The callback returns True to stop the whole search.
-        Deepening ends after a pass that no size-dependent cut touched
-        (``size_cut`` stays False): it tested no set of the full target size
-        and pruned nothing for lack of picks, so every larger target would
-        explore the same tree and find nothing.
-        With ``walk_after`` p >= 1, deepening about to start a pass after p
-        passes that found no set first asks ``exists`` whether any set of at
-        most ``max_size`` members is left: if none is, the search ends; if
-        one is, deepening goes on as without the question.  With ``pack``,
-        the first pass that finds no set computes the packing, and deepening
-        skips every size below it; a skip of one size or more counts as one
-        more failed pass for ``walk_after``.
+        within a size.  Deepening ends when the callback returns True, after
+        ``max_size``, or, with ``walk_after`` p >= 1, when ``exists`` finds no
+        set of at most ``max_size`` members before the pass that follows p
+        passes that found none.  With ``pack``, the first pass that finds no
+        set computes the packing, and deepening skips every size below it; a
+        skip of one size or more counts as one more failed pass.
         A size that the double-counting bound (``_size_fits``) rules out
-        holds no set: deepening skips it without a pass, so it never ends
-        the deepening.  The root, the empty set, is valid only when n = 0;
-        no vertex must join it, so its one entry cut is the counting bound.
+        holds no set: deepening skips it without a pass.  The root, the
+        empty set, is valid only when n = 0; no vertex must join it, so its
+        one entry cut is the counting bound.
         """
         n = self.n
         if min_size == 0:
@@ -292,7 +281,7 @@ class _Search:
             if n == 0 and on_solution(0):
                 return True
         empty = [0] * self.levels_len  # _rec copies levels before changing them
-        failed = 0  # passes that ended with no set and a size-dependent cut
+        failed = 0  # passes that ended with no set
         floor = 0  # sizes below it hold no set: the packing, once a pass has failed
         for size in range(max(min_size, 1), min(max_size, n) + 1):
             if size < floor or not self._size_fits(size):
@@ -302,11 +291,8 @@ class _Search:
             self.nodes += 1
             if n > size * self.gain:
                 continue  # the counting bound, which a larger size may pass
-            self.size_cut = False
             if self._rec(0, size, 0, self.full, empty, n - size, on_solution):
                 return True
-            if not self.size_cut:
-                return False  # every larger size would explore this same tree
             failed += 1
             if pack and failed == 1:
                 floor = self.packing().bit_count()
@@ -456,12 +442,7 @@ class _Search:
         child that passes its entry cuts and will be extended gets a levels
         list and a call.  Only sets that use every pick are tested.  The loop
         stops once the skipped candidates ``start..v-1`` were the last
-        suppliers of an unmet vertex.  The twin and scattered cuts never read
-        the target size.
-        Whenever a cut depends on the target size (the counting bound, too
-        many vertices that must join, or a child that would be extended if
-        more picks were left), ``size_cut`` is set for ``run``'s stop test;
-        the node count and that flag stay in locals until the loop ends.
+        suppliers of an unmet vertex.
         """
         adj = self.adj
         dead_before = self.dead_before
@@ -485,7 +466,6 @@ class _Search:
         unmet_cap = left * self.gain
         child_top = self.n - left
         nodes = 0
-        size_cut = False
         for v in range(start, cap + 1):
             if unmet & dead_before[v]:
                 break  # skipping start..v-1 left an unmet vertex no supplier
@@ -515,22 +495,17 @@ class _Search:
                 must = (out_at | av & out_below) & ~new_mask
             nodes += 1
             if not left:
-                size_cut = True  # a larger size would extend this child
                 if not (new_unmet or must) and on_solution(new_mask):
                     self.nodes += nodes
                     return True
                 continue
             if new_unmet.bit_count() > unmet_cap:
-                size_cut = True
                 continue
             child_cap = child_top
             if must:
                 low = must & -must
-                if low < bit or must_dies:
-                    continue  # one must join but was skipped, or would break its bound
-                if must.bit_count() > left:
-                    size_cut = True
-                    continue
+                if low < bit or must_dies or must.bit_count() > left:
+                    continue  # one must join but was skipped, cannot join, or lacks a pick
                 child_cap = min(child_cap, low.bit_length() - 1)
             new_levels = levels.copy()
             new_levels[0] = child0
@@ -545,8 +520,6 @@ class _Search:
                 self.nodes += nodes
                 return True
         self.nodes += nodes
-        if size_cut:
-            self.size_cut = True
         return False
 
 
@@ -571,10 +544,12 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     When deepening is about to start a third pass after two that found no
     set, one existence walk up to the limit first asks whether any set is
     left: if none is, the answer is nonexistence; if one is, deepening goes
-    on, so the answer and witness are those of deepening alone.  This needs
-    a binding upper bound; a kind without one is monotone, so V is a set if
-    any set is, and its first pass already ends the deepening when no set
-    exists.  No walk runs once a walk has found a set.
+    on, so the answer and witness are those of deepening alone.  Only a
+    kind with a binding upper bound asks.  A kind without one is monotone,
+    so V is a set if any set is; it has no set only when members need an
+    in-set neighbour and a vertex is isolated, and then no pass gets past
+    its first candidate: one node per size.  No walk runs once a walk has
+    found a set.
 
     After the first pass that finds no set, the search computes a greedy
     packing once (see the module docstring) and deepening skips every size
@@ -598,8 +573,8 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
         return True
 
     # Two failed passes: on the seed-11 benchmark calls, asking after one
-    # costs solve 82,603 nodes against 57,851, and after three 64,179; the
-    # product workload's factor solves take 26,916, 26,092 and 26,379.
+    # costs solve 91,082 nodes against 57,851, and after three 64,197; the
+    # product workload's factor solves take 26,916, 26,254 and 26,469.
     walk_after = 2 if search.hi_in is not None or search.hi_out is not None else 0
     if guess and search.exists(min(guess - 1, top)):
         guess = walk_after = 0  # a set smaller than the guess exists: deepen from the empty set

@@ -77,6 +77,37 @@ class TestInstanceValidation:
         inst = x3c_from_json('{"universe": 3, "sets": [[2, 0, 1]]}')
         assert inst == X3CInstance(3, ((2, 0, 1),))
 
+    def test_rejects_non_integers(self):
+        for universe, sets in ((3.0, ((0, 1, 2),)), (True, ((0, 1, 2),)),
+                               ("3", ((0, 1, 2),)), (3, ((0, True, 2.0),)),
+                               (3, ((0, 1, 2.0),)), (6, ((0, 1, 2), (3, 4, "5")))):
+            with pytest.raises(ValueError, match="is not an integer"):
+                X3CInstance(universe, sets)
+
+    def test_every_accepted_instance_round_trips(self):
+        # valid instances, some with one value swapped for an equal bool,
+        # float or string
+        rng = random.Random(0x3C)
+        lookalikes = (bool, float, str)
+        accepted = 0
+        for _ in range(500):
+            universe = rng.choice((3, 6, 9))
+            sets = [rng.sample(range(universe), 3) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                triple = rng.choice(sets)
+                i = rng.randrange(3)
+                triple[i] = rng.choice(lookalikes)(triple[i])
+            if rng.random() < 0.1:
+                universe = float(universe)
+            sets = tuple(map(tuple, sets))
+            try:
+                inst = X3CInstance(universe, sets)
+            except ValueError:
+                continue
+            accepted += 1
+            assert x3c_from_json(x3c_to_json(inst)) == inst, inst
+        assert accepted >= 100
+
 
 class TestBuildGadget:
     def test_single_set_structure(self):

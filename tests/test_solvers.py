@@ -548,9 +548,10 @@ class TestDoubleCountingSizeBound:
 
 
 class TestDeepeningStopRule:
-    """Exact-size deepening ends after a pass that no size-dependent cut
-    touched, so every size range must still list exactly the sets a subset
-    scan finds, and a nonexistence proof must cost one pass."""
+    """Exact-size deepening ends at a set, at the size limit, or when the
+    existence walk after two failed passes finds no set: every size range
+    must list exactly the sets a subset scan finds, and that walk keeps
+    nonexistence proofs within their ceilings."""
 
     def test_enumerate_masks_matches_brute_force_on_size_ranges(self):
         rng = random.Random(0x57095)
@@ -592,9 +593,9 @@ class TestDeepeningStopRule:
         assert missing >= 300  # half of the 700 cases have no set at all
 
     def test_nonexistence_proofs_take_one_pass(self):
-        # 233 and 1,815 nodes when every target size up to n is searched
-        # (406 and 8,824 without the twin cut); the corollary table also has
-        # no independent [1,2]-set for C4 o C4
+        # the walk after two failed passes keeps these ceilings: 19 and 246
+        # nodes, where deepening alone takes 19 and 446; the corollary table
+        # also has no independent [1,2]-set for C4 o C4
         for n, m, kind, nodes in ((4, 4, independent_one_k(2), 77),
                                   (5, 4, total_one_k(2), 682)):
             product, _ = lex_product(build_standard("cycle", n), build_standard("cycle", m))
@@ -781,6 +782,15 @@ class TestPinnedSearchWork:
         r = min_set(self.G18, total_dominating())
         assert (r.gamma, r.nodes_explored) == (6, 410)
         assert _Search(self.G18, total_dominating()).packing().bit_count() == 6
+
+    def test_monotone_nonexistence_costs_one_node_per_size(self):
+        # vertex 31 is isolated, so no total dominating set exists: 33 nodes,
+        # the root and one per size, each ended by the counting bound or at
+        # the first candidate; 17 while a pass that no size-dependent cut
+        # touched also ended the deepening
+        g = Graph(32, [(i, i + 1) for i in range(30)])
+        r = min_set(g, total_dominating())
+        assert (r.exists, r.nodes_explored) == (False, 33)
 
     def test_guessed_deepening(self):
         # the existence walk proves sizes 0..29 empty, then size 30 is
