@@ -56,18 +56,19 @@ class SetKind:
         if self.base not in BASES:
             raise ValueError(f"unknown set kind {self.base!r}")
         takes = base_parameters(self.base)
-        if "k" in takes:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{self.base} requires k >= 1, got {self.k}")
-        elif self.k is not None:
-            raise ValueError(f"{self.base} takes no k parameter")
-        if "j" in takes:
-            if self.j is None or self.j < 0:
-                raise ValueError(f"{self.base} requires j >= 0, got {self.j}")
-            if self.j > self.k:  # type: ignore[operator]
-                raise ValueError(f"j={self.j} must not exceed k={self.k}")
-        elif self.j is not None:
-            raise ValueError(f"{self.base} takes no j parameter")
+        for name, low in (("k", 1), ("j", 0)):
+            value = getattr(self, name)
+            if name not in takes:
+                if value is not None:
+                    raise ValueError(f"{self.base} takes no {name} parameter")
+            elif value is not None and type(value) is not int:
+                # bool is an int subclass and 2.0 compares like 2, but the
+                # search indexes levels by these bounds and JSON writes them
+                raise ValueError(f"{self.base} requires an integer {name}, got {value!r}")
+            elif value is None or value < low:
+                raise ValueError(f"{self.base} requires {name} >= {low}, got {value}")
+        if "j" in takes and self.j > self.k:  # type: ignore[operator]
+            raise ValueError(f"j={self.j} must not exceed k={self.k}")
         params = {"j": self.j, "k": self.k}
         object.__setattr__(self, "_bounds", tuple([params.get(b, b) for b in _BOUNDS[self.base]]))
 

@@ -32,6 +32,12 @@ class X3CInstance:
     sets: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
+        # lists of lists would leave the frozen instance unhashable and unequal
+        # to its own JSON round trip, which gives tuples
+        try:
+            object.__setattr__(self, "sets", tuple(map(tuple, self.sets)))
+        except TypeError:
+            raise ValueError(f"the sets {self.sets!r} are not a collection of triples") from None
         # bool is an int subclass and a float such as 3.0 compares like one,
         # but x3c_from_json rejects both, and a float cannot index the gadget
         if type(self.universe_size) is not int:

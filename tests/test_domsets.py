@@ -60,6 +60,20 @@ class TestKindValidation:
             SetKind(base, k=k, j=j)
         assert str(exc.value) == message
 
+    def test_rejects_parameters_that_are_not_integers(self):
+        # bool is an int subclass and 2.0 compares like 2; neither may solve
+        # or serialise as a parameter
+        for base, k, j, bad in (("one_k", 1.0, None, "k, got 1.0"),
+                                ("one_k", 2.0, None, "k, got 2.0"),
+                                ("one_k", True, None, "k, got True"),
+                                ("total_one_k", "2", None, "k, got '2'"),
+                                ("j_dependent_one_k", 2, 1.0, "j, got 1.0"),
+                                ("j_dependent_total_one_k", 2, False, "j, got False"),
+                                ("j_dependent_one_k", True, 0, "k, got True")):
+            with pytest.raises(ValueError) as exc:
+                SetKind(base, k=k, j=j)
+            assert str(exc.value) == f"{base} requires an integer {bad}"
+
     def test_valid_kinds(self):
         # (kind, (lo_in, hi_in, lo_out, hi_out), label), written out from the
         # definitions: members need at least lo_in and at most hi_in in-set

@@ -621,8 +621,11 @@ class TestOracleKind:
                     assert getattr(lex_theory, name)(*args) is shared
                     assert shared == fresh and hash(shared) == hash(fresh)
                     assert repr(shared) == repr(fresh) and shared.bounds() == fresh.bounds()
-        # parameters of another type that compare equal get their own kind
-        assert lex_theory.one_k(1).k is not True and lex_theory.one_k(True).k is True
+        # a parameter of another type that compares equal is not served the
+        # cached kind: it is rejected
+        assert lex_theory.one_k(1).k is not True
+        with pytest.raises(ValueError, match="requires an integer k, got True"):
+            lex_theory.one_k(True)
 
     @pytest.mark.parametrize("name,args", [
         ("one_k", (0,)),

@@ -77,6 +77,15 @@ class TestInstanceValidation:
         inst = x3c_from_json('{"universe": 3, "sets": [[2, 0, 1]]}')
         assert inst == X3CInstance(3, ((2, 0, 1),))
 
+    def test_sets_are_stored_as_tuples(self):
+        inst = X3CInstance(6, [[0, 1, 2], (3, 4, 5)])
+        assert inst.sets == ((0, 1, 2), (3, 4, 5))
+        assert hash(inst) == hash(X3CInstance(6, ((0, 1, 2), (3, 4, 5))))
+        assert x3c_from_json(x3c_to_json(inst)) == inst
+        for bad in (None, (5,), [[0, 1, 2], 3]):
+            with pytest.raises(ValueError, match="not a collection of triples"):
+                X3CInstance(3, bad)
+
     def test_rejects_non_integers(self):
         for universe, sets in ((3.0, ((0, 1, 2),)), (True, ((0, 1, 2),)),
                                ("3", ((0, 1, 2),)), (3, ((0, True, 2.0),)),

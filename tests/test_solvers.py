@@ -266,10 +266,11 @@ class TestSweepAfterFailedPasses:
 
     def test_set_found_only_after_the_sweep(self, monkeypatch):
         # the whole vertex set is the only [1,2]-set: two passes fail, the
-        # sweep finds a set, and deepening goes on to it
+        # first walk finds it, the second finds no smaller set, and
+        # deepening skips to size 30
         sweeps = self._recording(monkeypatch)
         r = min_set(TestPinnedSearchWork.C5_C6, one_k(2))
-        assert sweeps == [True]
+        assert sweeps == [True, False]
         assert (r.gamma, r.witness) == (30, tuple(range(30)))
 
     def test_monotone_kinds_never_sweep(self, monkeypatch):
@@ -317,16 +318,20 @@ class TestExistenceWalk:
     @staticmethod
     def _recording(monkeypatch):
         """Patch ``_Search`` to count walk nodes where vertices over hi_out
-        must join, and where one of them is already excluded."""
-        seen = {"forced": 0, "forced_excluded": 0}
+        must join, and where the saturation cut applies: a vertex outside S
+        and X has an excluded neighbor that already hears hi_out members."""
+        seen = {"forced": 0, "saturated": 0}
 
         class Recorded(_Search):
-            def _walk(self, mask, excluded, levels, left):
-                must = 0 if self.hi_out is None else levels[self.hi_out] & ~mask
-                if must and self.hi_in is None:
-                    seen["forced"] += 1
-                    seen["forced_excluded"] += bool(must & excluded)
-                return super()._walk(mask, excluded, levels, left)
+            def _walk(self, mask, excluded, levels, unmet, must, left):
+                if self.hi_in is None and self.hi_out is not None:
+                    assert must == levels[self.hi_out] & ~mask
+                    seen["forced"] += bool(must)
+                    blocked = 0
+                    for x in mask_to_ids(excluded & levels[self.hi_out - 1]):
+                        blocked |= self.adj[x]
+                    seen["saturated"] += bool(blocked & ~(mask | excluded))
+                return super()._walk(mask, excluded, levels, unmet, must, left)
 
         monkeypatch.setattr(solvers, "_Search", Recorded)
         return seen
@@ -348,8 +353,20 @@ class TestExistenceWalk:
                     assert (r.gamma, r.witness) == (gamma, witness), (g, kind, guess)
                 checks += 2 * g.n + 4
         assert checks >= 20000
-        # both forced-join cuts of the walk were reached
-        assert seen["forced"] >= 2000 and seen["forced_excluded"] >= 1000
+        # forced joins and the saturation cut were both reached
+        assert seen["forced"] >= 2000 and seen["saturated"] >= 1000
+
+    def test_every_reported_set_is_a_set_within_the_limit(self):
+        reported = 0
+        for g in self._graphs():
+            for kind in _kinds_k_up_to_3():
+                for limit in range(g.n + 1):
+                    search = _Search(g, kind, break_twins=True)
+                    if search.exists(limit):
+                        found = mask_to_ids(search.found)
+                        assert len(found) <= limit and satisfies(g, found, kind), (g, kind, limit)
+                        reported += 1
+        assert reported >= 5000
 
     def test_node_counts_repeat(self):
         kinds = _kinds_k_up_to_3()
@@ -421,8 +438,11 @@ class TestPackingBound:
                 enumerate_masks(g, kind, 0, g.n if limit is None else limit,
                                 lambda m: (first.append(mask_to_ids(m)), True)[1])
                 expected = (True, len(first[0]), first[0]) if first else (False, None, None)
-                r = min_set(g, kind, limit=limit, guess=guess)
-                assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
+                # a guess above the minimum walks straight to it, skipping
+                # the passes that compute the packing, so also deepen without one
+                for guess in {0, guess}:
+                    r = min_set(g, kind, limit=limit, guess=guess)
+                    assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
                 assert exists_set(g, kind, limit=limit) is bool(first), (g, kind, limit)
         # deepening skipped at least one size up to the packing on some calls
         assert sum(skip > 0 for skip in skips) >= 150
@@ -759,10 +779,11 @@ class TestPinnedSearchWork:
 
     def test_exact_deepening(self):
         # 23,922 before the question after two failed passes, which here
-        # finds V: 23,954 when a variable-size sweep asked it, 23,953 now
-        # that the existence walk does
+        # finds V: 23,954 when a variable-size sweep asked it, 23,953 when
+        # one walk did and deepening went on through every size; now a
+        # second walk proves every smaller size empty and deepening skips to 30
         r = min_set(self.C5_C6, one_k(2))
-        assert (r.gamma, r.nodes_explored) == (30, 23953)
+        assert (r.gamma, r.nodes_explored) == (30, 4122)
 
     def test_nonexistence_proof(self):
         r = min_set(self.C5_C6, total_one_k(2))
@@ -794,9 +815,10 @@ class TestPinnedSearchWork:
 
     def test_guessed_deepening(self):
         # the existence walk proves sizes 0..29 empty, then size 30 is
-        # deepened; 8,265 when a variable-size sweep did the proof
+        # deepened; 8,265 when a variable-size sweep did the proof, 3,977
+        # before the walk's saturation cut
         r = min_set(self.C5_C6, one_k(2), guess=30)
-        assert (r.gamma, r.nodes_explored) == (30, 3977)
+        assert (r.gamma, r.nodes_explored) == (30, 985)
 
     def test_guessed_nonexistence_proof(self):
         # a guess past n: the one existence walk settles nonexistence; 6,677
