@@ -33,6 +33,7 @@ from .lex_theory import (
 from .npc import X3CInstance, check_gadget_cap, decide_x3c, gadget_layout, x3c_from_json
 from .solvers import (
     GraphTooLargeError,
+    check_cap,
     check_closed_form_k,
     closed_form,
     min_set,
@@ -120,6 +121,7 @@ def _load_instance(path: str) -> X3CInstance:
 
 
 def _cmd_gen(args) -> int:
+    check_cap(args.n, args.force)  # before build_standard: complete 2000 has 2 million edges
     graph = build_standard(args.family, args.n)
     write_outputs([(args.output, format_edge_list(graph))])
     if args.output:
@@ -248,7 +250,7 @@ COMMANDS = {
         _cmd_gen, "write a standard graph as an edge list",
         (_Option(("family",), ("path", "cycle", "complete", "star", "empty")),
          _Option(("n",), int)),
-        (_OUTPUT,)),
+        (_OUTPUT, _FORCE)),
     "product": _Command(
         _cmd_product, "lexicographic product of two edge lists",
         (_Option(("g",)), _Option(("h",))),

@@ -7,8 +7,9 @@ recursive loop deepens over exact target sizes for ``min_set``,
 ``enumerate_sets`` and the scattered-set scans.  Existence questions go to a
 second search, the existence walk (below): ``exists_set``, and ``min_set``'s
 guess and its descent after two passes that found no set.  A walk that
-succeeds keeps the set it reached, which need not be the canonical one;
-every witness comes from deepening.
+succeeds keeps the set it reached, which need not be the canonical one.
+Where the walks locate the minimum, the witness phase (below) builds the
+canonical witness from that set; every other witness comes from deepening.
 
 The existence walk asks whether some set has at most ``limit`` members.  It
 keeps a chosen set S and an excluded set X.  It succeeds once no vertex is
@@ -33,9 +34,6 @@ either, so swapping u and v maps any set through v, S and the current X
 into that space.  The answer is that of a full subset scan.  Each child's
 forced joins, success and counting bound are read off its parent's levels,
 as in deepening (below), and only a child that passes them costs a call.
-Over the 64 questions of a seed-11 ``solve`` benchmark pass before the
-descent and the saturation cut, the walk explored 710 nodes, where a
-variable-size sweep of the ordered loop explored 11,662.
 
 Pruning is sound-only.  A branch is cut when a spanning number already
 exceeds the applicable upper bound with no way to recover, or by a counting
@@ -80,8 +78,13 @@ the pass at size s.  The walk first asks for a set of at most the limit;
 with none, the answer is nonexistence.  Each set it finds, of u members,
 makes it ask again for u - 1 or fewer, while that is at least s.  The
 last walk proves every size below the smallest u empty, or u is s, so u is
-the minimum, and deepening skips to it: its pass at u gives the canonical
-witness.  Only kinds with a binding upper bound descend.  The others are
+the minimum.  The witness phase then takes v = 0, 1, ... in turn with a set
+S and an excluded set X, both empty at first, until S has u members.  v
+joins S if it is in ``found``, which holds S, avoids X and has u members,
+or if a walk from the imposed prefix (S plus v, X) finds a set of at most u
+members, which becomes ``found``; otherwise v goes to X.  The phase runs
+without the twin table, whose exclusions are sound only for an X the walk
+built.  Only kinds with a binding upper bound descend.  The others are
 monotone: V is a set if any set is, so one has no set only when members
 need an in-set neighbour and some vertex is isolated.  That vertex has no
 supplier, so no pass gets past its first candidate, and the proof costs one
@@ -174,8 +177,8 @@ class SolveResult:
     ``exists`` iff ``gamma``/``witness`` are present; the witness is the
     lexicographically smallest minimum set; ``nodes_explored`` counts search
     tree nodes for reproducibility checks: those of deepening plus those of
-    every existence walk the search ran.  It is deterministic, but a
-    property of the search, not of the answer.
+    every existence walk the search ran, the witness phase's included.  It
+    is deterministic, but a property of the search, not of the answer.
     """
 
     kind: SetKind
@@ -220,9 +223,10 @@ def _twin_before(adj: tuple[int, ...], closed: list[int]) -> list[int] | None:
 
 class _Search:
     """Bitmask DFS over candidate sets for one (graph, kind) pair: ``run``
-    deepens over exact sizes, ``exists`` walks the existence question, and
-    ``locate`` descends with walks to the minimum (see the module
-    docstring).  With ``break_twins`` both break twin symmetry, with the
+    deepens over exact sizes, ``exists`` walks the existence question,
+    ``locate`` descends with walks to the minimum, and ``witness`` builds
+    the canonical witness there (see the module docstring).  With
+    ``break_twins`` deepening and the walk break twin symmetry, with the
     graph's ``near`` masks deepening applies the scattered cut, and with
     neither it reaches every set."""
 
@@ -270,11 +274,11 @@ class _Search:
         within a size.  Deepening ends when the callback returns True or
         after ``max_size``.  With ``walk_after`` p >= 1, the pass that
         follows p passes that found no set first asks ``locate``: if no set
-        of at most ``max_size`` members exists, deepening ends; otherwise it
-        skips to the size the walks found, which is the minimum.  With
-        ``pack``, the first pass that finds no set computes the packing, and
-        deepening skips every size below it; a skip of one size or more
-        counts as one more failed pass.
+        of at most ``max_size`` members exists, deepening ends; otherwise
+        the callback gets the ``witness`` at the minimum the walks found.
+        With ``pack``, the first pass that finds no set computes the
+        packing, and deepening skips every size below it; a skip of one
+        size or more counts as one more failed pass.
         A size that the double-counting bound (``_size_fits``) rules out
         holds no set: deepening skips it without a pass.  The root, the
         empty set, is valid only when n = 0; no vertex must join it, so its
@@ -298,17 +302,13 @@ class _Search:
             self.dead_before = list(accumulate(buckets, or_))
         empty = [0] * self.levels_len  # _rec copies levels before changing them
         failed = 0  # passes that ended with no set
-        floor = 0  # sizes below it hold no set: the packing, or the size the walks found
+        floor = 0  # sizes below it hold no set: the packing
         for size in range(max(min_size, 1), min(max_size, n) + 1):
             if size < floor or not self._size_fits(size):
                 continue  # no set has this size; a skipped size is not a pass
             if walk_after and failed == walk_after:
-                walk_after = 0  # the walks below settle where the minimum is
-                floor = self.locate(size, max_size)
-                if floor is None:
-                    return False  # no set of any size up to max_size
-                if size < floor:
-                    continue
+                minimum = self.locate(size, max_size)  # None: no set of any size up to max_size
+                return minimum is not None and on_solution(self.witness(minimum))
             self.nodes += 1
             if n > size * self.gain:
                 continue  # the counting bound, which a larger size may pass
@@ -336,20 +336,51 @@ class _Search:
             limit = size - 1
         return size
 
-    def exists(self, limit: int) -> bool:
-        """True iff some set of the kind has at most ``limit`` members, by
-        the existence walk of the module docstring; on True, ``found`` is
-        the set the walk reached.  ``limit`` first drops to the largest size
-        that ``_size_fits`` allows.  This is the walk's root node, with the
-        entry cuts every child gets from its parent."""
+    def exists(self, limit: int, mask: int = 0, excluded: int = 0) -> bool:
+        """True iff some set of the kind holds ``mask``, avoids ``excluded``
+        and has at most ``limit`` members, by the existence walk of the
+        module docstring; on True, ``found`` is the set the walk reached.
+        ``limit`` first drops to the largest size that ``_size_fits``
+        allows.  This is the walk's root node: it builds ``mask``'s levels
+        and runs the entry cuts every child gets from its parent, after the
+        checks that ``_walk`` keeps true only for a prefix it built itself:
+        no member over hi_in, no outsider over hi_out while hi_in binds, and
+        no vertex over hi_out in ``excluded``."""
         while limit > 0 and not self._size_fits(limit):
             limit -= 1
         self.nodes += 1
-        if not self.n:
-            return True  # the empty set, which ``found`` already holds
-        if self.n > limit * self.gain:
+        levels = [0] * self.levels_len
+        for v in mask_to_ids(mask):
+            carry = self.adj[v]
+            for i, prev in enumerate(levels):
+                levels[i] = prev | carry
+                carry &= prev
+        hi_in = self.hi_in
+        must = 0 if self.hi_out is None else levels[self.hi_out] & ~mask
+        if hi_in is not None and (mask & levels[hi_in] or must) or must & excluded:
             return False
-        return self._walk(0, 0, [0] * self.levels_len, self.full, 0, limit)
+        unmet = self.full & ~(levels[0] if self.member_needs_lo else levels[0] | mask)
+        if not (unmet or must):
+            self.found = mask
+            return True
+        left = limit - mask.bit_count()
+        if must.bit_count() > left or unmet.bit_count() > left * self.gain:
+            return False
+        return self._walk(mask, excluded, levels, unmet, must, left)
+
+    def witness(self, size: int) -> int:
+        """The lexicographically smallest set of the kind, when ``found`` has
+        ``size`` members and no set is smaller: the witness phase of the
+        module docstring, which turns the twin table off for good."""
+        self.twin_before = None
+        mask, excluded, bit = 0, 0, 1
+        while mask != self.found:  # found holds mask, avoids excluded and has size members
+            if self.found & bit or self.exists(size, mask | bit, excluded):
+                mask |= bit
+            else:
+                excluded |= bit
+            bit <<= 1
+        return mask
 
     def _walk(self, mask: int, excluded: int, levels: list[int], unmet: int, must: int,
               left: int) -> bool:
@@ -595,34 +626,28 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
             force: bool = False) -> SolveResult:
     """Exact minimum set of the given kind, or nonexistence.
 
-    Iterates target sizes 0, 1, 2, ... and returns the lexicographically
-    smallest witness at the first feasible size.  With ``limit`` the search
-    stops after that cardinality and reports ``exists=False`` when nothing
-    was found within it; a negative ``limit`` raises ``ValueError``.  Above
-    the cap (``resolve_cap``) it raises ``GraphTooLargeError`` unless ``force``.
+    Returns the lexicographically smallest witness of the smallest size.
+    With ``limit`` the search stops after that cardinality and reports
+    ``exists=False`` when nothing was found within it; a negative ``limit``
+    raises ``ValueError``.  Above the cap (``resolve_cap``) it raises
+    ``GraphTooLargeError`` unless ``force``.
 
-    A ``guess`` g >= 1 is an expected minimum size.  Existence walks
-    (``exists_set``'s) first locate the minimum below g: one asks whether
-    any set of fewer than g members exists.  If none does, deepening starts
-    at size g, so the sizes below g cost one walk instead of one pass each.
-    If one does, each further walk asks for a set smaller than the last one
-    found, until one finds none; deepening then starts at the size of the
-    smallest set found, which is the minimum.  A guess above n makes the
-    walk settle nonexistence alone.  The answer and witness never depend on
-    the guess, only ``nodes_explored`` does; a negative guess raises
-    ``ValueError``.
-
-    When deepening is about to start a third pass after two that found no
-    set, the same descent runs from the limit down to the size of that
-    pass: if no set of at most the limit exists, the answer is
-    nonexistence; otherwise deepening skips to the minimum the walks found,
-    and its pass there gives the witness of deepening alone.  Only a kind
-    with a binding upper bound descends.  A kind without one is monotone,
-    so V is a set if any set is; it has no set only when members need an
-    in-set neighbour and a vertex is isolated, and then no pass gets past
-    its first candidate: one node per size.  C5∘C6 ``one_k(2)``, whose only
-    set is V, takes 4,122 nodes, 23,953 when deepening went on through
-    every size after the first walk found a set.
+    Deepening tries sizes 0, 1, 2, ..., and its first set is the witness,
+    unless descents of existence walks locate the minimum first; the
+    witness phase then builds that witness from the set the walks found
+    (see the module docstring).  A ``guess`` g >= 1, an expected minimum
+    size, starts with a descent below g.  If it finds no set, deepening
+    starts at g, so the sizes below g cost one walk instead of one pass
+    each; the phase in place of the pass at g cost ``product`` 33% more
+    nodes.  A guess above n makes the walk settle nonexistence alone.  The
+    answer and witness never depend on the guess, only ``nodes_explored``
+    does; a negative guess raises ``ValueError``.  Deepening descends
+    before a third pass after two that found no set, from the limit down to
+    that pass's size; with no set of at most the limit, the answer is
+    nonexistence.  Only a kind with a binding upper bound descends; one
+    without is monotone, and its passes cost one node per size when it has
+    no set.  C5∘C6 ``one_k(2)``, whose only set is V, takes 4,091 nodes,
+    23,953 when deepening went on through every size after a walk found V.
 
     After the first pass that finds no set, the search computes a greedy
     packing once (see the module docstring) and deepening skips every size
@@ -645,14 +670,14 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
         found.append(mask)
         return True
 
-    # Two failed passes: on the seed-11 benchmark calls, asking after one
-    # costs solve 91,082 nodes against 57,851, and after three 64,197; the
-    # product workload's factor solves take 26,916, 26,254 and 26,469.
+    # Two failed passes: on the seed-11 benchmark calls, descending after one
+    # costs solve 76,976 nodes against 36,092, and after three 52,202.
     walk_after = 2 if search.hi_in is not None or search.hi_out is not None else 0
-    start = search.locate(0, min(guess - 1, top)) if guess else 0
-    if start is None:
-        start = guess  # no set is smaller than the guess
-    search.run(start, top, grab, walk_after=walk_after, pack=True)
+    size = search.locate(0, min(guess - 1, top)) if guess else None
+    if size is None:  # no guess, or no set is smaller than it
+        search.run(guess, top, grab, walk_after=walk_after, pack=True)
+    else:
+        found.append(search.witness(size))
     if found:
         witness = mask_to_ids(found[0])
         return SolveResult(kind, True, len(witness), witness, search.nodes)

@@ -147,6 +147,25 @@ class TestGen:
         code, _, err = run(capsys, "gen", "hypercube", "4")
         assert code == 64 and "error" in err
 
+    def test_cap_refuses_before_building(self, capsys, monkeypatch):
+        # complete 100000 has about 5 billion edges: the cap must stop it first
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+
+        def guard(*args):
+            raise AssertionError("build_standard ran")
+
+        monkeypatch.setattr(cli, "build_standard", guard)
+        code, out, err = run(capsys, "gen", "complete", "100000")
+        assert code == 3 and out == ""
+        assert "100000 vertices, cap is 32" in err and "--force" in err
+
+    def test_force_lifts_the_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("DOMKIT_MAX_N", raising=False)
+        code, out, err = run(capsys, "gen", "path", "40")
+        assert code == 3 and out == "" and "40 vertices, cap is 32" in err
+        code, out, _ = run(capsys, "gen", "path", "40", "--force")
+        assert code == 0 and out == format_edge_list(build_standard("path", 40))
+
     def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path, capsys):
         target = tmp_path / "g.el"
         assert run(capsys, "gen", "complete", "8", "-o", str(target))[0] == 0

@@ -216,14 +216,16 @@ class TestGuess:
 
 class TestSweepAfterFailedPasses:
     """After two deepening passes that find no set, ``min_set`` asks the
-    existence walk whether any set is left; it must change only
-    ``nodes_explored``, never the answer or the witness of deepening alone."""
+    existence walks where the minimum lies, and the witness phase builds the
+    witness there; they must change only ``nodes_explored``, never the answer
+    or the witness of deepening alone."""
 
     @staticmethod
     def _recording(monkeypatch):
-        """Patch ``_Search`` so that each walk run inside deepening appends
-        whether it found a set."""
-        sweeps = []
+        """Patch ``_Search`` so that each descent run inside deepening
+        appends the size it located, None when it settled nonexistence, and
+        each witness phase appends its size to ``phases``."""
+        sweeps, phases = [], []
 
         class Recorded(_Search):
             __slots__ = ("deepening",)
@@ -235,17 +237,21 @@ class TestSweepAfterFailedPasses:
                 finally:
                     self.deepening = False
 
-            def exists(self, limit):
-                found = super().exists(limit)
+            def locate(self, low, limit):
+                size = super().locate(low, limit)
                 if getattr(self, "deepening", False):
-                    sweeps.append(found)
-                return found
+                    sweeps.append(size)
+                return size
+
+            def witness(self, size):
+                phases.append(size)
+                return super().witness(size)
 
         monkeypatch.setattr(solvers, "_Search", Recorded)
-        return sweeps
+        return sweeps, phases
 
     def test_answers_match_deepening_alone(self, monkeypatch):
-        sweeps = self._recording(monkeypatch)
+        sweeps, phases = self._recording(monkeypatch)
         rng = random.Random(0x5EE9)
         kinds = _kinds_k_up_to_3()
         assert {kind.base for kind in kinds} == set(BASES)
@@ -261,25 +267,38 @@ class TestSweepAfterFailedPasses:
                 expected = (True, len(first[0]), first[0]) if first else (False, None, None)
                 r = min_set(g, kind, limit=limit, guess=guess)
                 assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
-        # sweeps that settled nonexistence, and sweeps after which deepening went on
-        assert sweeps.count(False) >= 60 and sweeps.count(True) >= 90
+        # descents that settled nonexistence, descents that located the
+        # minimum, and witness phases, after a descent or a guess's walks
+        located = len(sweeps) - sweeps.count(None)
+        assert sweeps.count(None) >= 150 and located >= 100 and len(phases) >= 650
 
     def test_set_found_only_after_the_sweep(self, monkeypatch):
         # the whole vertex set is the only [1,2]-set: two passes fail, the
-        # first walk finds it, the second finds no smaller set, and
-        # deepening skips to size 30
-        sweeps = self._recording(monkeypatch)
+        # first walk finds it, the second finds no smaller set, and the
+        # witness phase takes V, which the walk found, with no further walk
+        sweeps, phases = self._recording(monkeypatch)
         r = min_set(TestPinnedSearchWork.C5_C6, one_k(2))
-        assert sweeps == [True, False]
+        assert sweeps == [30] and phases == [30]
         assert (r.gamma, r.witness) == (30, tuple(range(30)))
+
+    def test_witness_phase_checks_the_imposed_prefix(self, monkeypatch):
+        # in the phase, the prefix (1, 2, 3, 5) meets every vertex, but
+        # members 3 and 5 are adjacent: the root must reject it before its
+        # success test, or the witness is (1, 2, 3, 5), which is not independent
+        sweeps, phases = self._recording(monkeypatch)
+        g = Graph(10, [(0, 1), (0, 2), (0, 8), (1, 7), (1, 8), (1, 9), (3, 4), (3, 5), (3, 8),
+                       (5, 6), (8, 9)])
+        r = min_set(g, independent_one_k(2))
+        assert sweeps == [4] and phases == [4]
+        assert (r.gamma, r.witness) == (4, (1, 2, 3, 6))
 
     def test_monotone_kinds_never_sweep(self, monkeypatch):
         # no binding upper bound: a kind with any set has V, so no sweep is needed
-        sweeps = self._recording(monkeypatch)
+        sweeps, phases = self._recording(monkeypatch)
         for g in (TestPinnedSearchWork.G18, build_standard("path", 20)):
             for kind in (dominating(), total_dominating(), one_k(100)):
                 min_set(g, kind)
-        assert sweeps == []
+        assert sweeps == [] and phases == []
 
 
 def _first_set(g, kind):
@@ -293,11 +312,12 @@ def _first_set(g, kind):
 
 
 class TestExistenceWalk:
-    """``_Search.exists`` answers ``exists_set``, ``min_set``'s guess and the
-    question deepening asks after two failed passes.  It joins forced
-    vertices, branches on the unmet vertex with the fewest suppliers and
-    excludes each tried supplier, and a supplier whose lower twin is
-    excluded; every answer must be that of a subset scan."""
+    """``_Search.exists`` answers ``exists_set``, ``min_set``'s guess, the
+    question deepening asks after two failed passes and the witness phase's
+    questions.  It joins forced vertices, branches on the unmet vertex with
+    the fewest suppliers and excludes each tried supplier, and a supplier
+    whose lower twin is excluded; every answer must be that of a subset
+    scan."""
 
     @staticmethod
     def _graphs():
@@ -780,10 +800,18 @@ class TestPinnedSearchWork:
     def test_exact_deepening(self):
         # 23,922 before the question after two failed passes, which here
         # finds V: 23,954 when a variable-size sweep asked it, 23,953 when
-        # one walk did and deepening went on through every size; now a
-        # second walk proves every smaller size empty and deepening skips to 30
+        # one walk did and deepening went on through every size, 4,122 when
+        # a second walk proved every smaller size empty and deepening skipped
+        # to 30; now the witness phase takes V from the walk with no node
         r = min_set(self.C5_C6, one_k(2))
-        assert (r.gamma, r.nodes_explored) == (30, 4122)
+        assert (r.gamma, r.nodes_explored) == (30, 4091)
+
+    def test_witness_phase(self):
+        # the walks locate the minimum 6 after two failed passes, and the
+        # witness phase builds the witness from the set they found; 1,147
+        # when deepening ran its pass at 6
+        r = min_set(self.G18, one_k(2))
+        assert (r.gamma, r.witness, r.nodes_explored) == (6, (0, 4, 8, 9, 16, 17), 424)
 
     def test_nonexistence_proof(self):
         r = min_set(self.C5_C6, total_one_k(2))
