@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Collection, Iterator
 
 from . import domsets
-from .domsets import SetKind
+from .domsets import SetKind, check_int
 from .graphs import Graph, is_connected, lex_product, mask_to_ids
 from .solvers import check_cap, exists_set, first_sd_set, min_sd_size_plus_alpha, min_set
 
@@ -102,7 +102,8 @@ def check_k(k: int, kind: str | None = None) -> None:
     """Raise ``ValueError`` unless the product theorems cover ``k``: the one k
     of a product kind whose row fixes it, k >= 2 for the other kinds and the
     characterizations (no ``kind``).  A ``kind`` that is not a product kind
-    raises too."""
+    raises too, and so does a ``k`` that is not an ``int``."""
+    check_int(k=k)
     if kind is not None and kind not in _PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
     _, only_k, _ = _PRODUCT_KINDS.get(kind, (None, None, None))
@@ -437,6 +438,7 @@ def corollary_value(family_g: str, family_h: str, n: int, m: int, kind: str) -> 
         raise ValueError(f"unknown corollary kind {kind!r}")
     if family_g not in ("path", "cycle") or family_h not in ("path", "cycle"):
         raise ValueError("factors must be path or cycle")
+    check_int(n=n, m=m)
     if n < (2 if family_g == "path" else 3):
         raise ValueError(f"n={n} below minimum for {family_g}")
     if m < 2:

@@ -69,22 +69,35 @@ class GadgetMeta:
     """Id bookkeeping for a built gadget.
 
     Layout: per set i a 4-cycle block (anchor, then three cycle fillers),
-    then all connectors in set order, then the universe elements.
+    then all connectors in set order, then the universe elements.  The
+    id ranges and the budget 2t + q are read off t and 3q.
     """
 
     num_sets: int
     universe_size: int
-    budget: int
-    cycles: tuple[tuple[int, int, int, int], ...]
-    connectors: tuple[tuple[int, int, int], ...]
-    elements: tuple[int, ...]
 
     @property
     def num_vertices(self) -> int:
         return 7 * self.num_sets + self.universe_size
 
+    @property
+    def budget(self) -> int:
+        return 2 * self.num_sets + self.universe_size // 3
+
+    @property
+    def cycles(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple((a, a + 1, a + 2, a + 3) for a in range(0, 4 * self.num_sets, 4))
+
+    @property
+    def connectors(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple((c, c + 1, c + 2) for c in range(4 * self.num_sets, 7 * self.num_sets, 3))
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(range(7 * self.num_sets, self.num_vertices))
+
     def anchor(self, i: int) -> int:
-        return self.cycles[i][0]
+        return 4 * i
 
     def role_of(self, vid: int) -> dict:
         t = self.num_sets
@@ -124,7 +137,6 @@ def gadget_layout(inst: X3CInstance) -> tuple[list[Edge], GadgetMeta]:
     the anchor 4i; each connector then meets the set's elements 7t + x.
     """
     t = inst.num_sets
-    q = inst.q
     edges: list[Edge] = []
     for i in range(t):
         a, c = 4 * i, 4 * t + 3 * i
@@ -136,10 +148,7 @@ def gadget_layout(inst: X3CInstance) -> tuple[list[Edge], GadgetMeta]:
         c = 4 * t + 3 * i
         for v in (c, c + 1, c + 2):
             edges += ((v, base + x), (v, base + y), (v, base + z))
-    cycles = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(t))
-    connectors = tuple(tuple(range(4 * t + 3 * i, 4 * t + 3 * i + 3)) for i in range(t))
-    elements = tuple(range(base, base + 3 * q))
-    return edges, GadgetMeta(t, inst.universe_size, 2 * t + q, cycles, connectors, elements)
+    return edges, GadgetMeta(t, inst.universe_size)
 
 
 def build_gadget(inst: X3CInstance) -> tuple[Graph, GadgetMeta]:
@@ -171,8 +180,8 @@ def cover_to_witness(inst: X3CInstance, meta: GadgetMeta,
     picked: set[int] = set()
     for u, a, _b, _c in meta.cycles:
         picked.update((u, a))
-    for i in cover:
-        picked.add(meta.connectors[i][0])
+    connectors = meta.connectors
+    picked.update(connectors[i][0] for i in cover)
     return frozenset(picked)
 
 
@@ -190,9 +199,7 @@ def witness_to_cover(inst: X3CInstance, meta: GadgetMeta,
         raise ValueError("witness is not a total [1,2]-set of the gadget")
     if len(witness) > meta.budget:
         raise ValueError(f"witness has {len(witness)} vertices, budget is {meta.budget}")
-    chosen = frozenset(
-        i for i, slots in enumerate(meta.connectors) if witness & set(slots)
-    )
+    chosen = frozenset(i for i, slots in enumerate(meta.connectors) if witness & set(slots))
     try:
         _check_exact_cover(inst, chosen)
     except ValueError as exc:

@@ -19,11 +19,10 @@ dies if there are more of them than picks left, and otherwise its only
 branch adds the lowest of them.  No such vertex is ever in X, by the
 saturation cut: a vertex in X that hears hi_out members would go over
 hi_out if one more neighbour joined, so its neighbours leave the suppliers
-and go to X untried.  Otherwise it takes the
-unmet vertex with the fewest suppliers (the vertices of its hood, below)
-outside S and X, lowest id on ties, the fail-first rule of Haralick and
-Elliott (*Artificial Intelligence* 14, 1980): every completion holds one of
-them.  Each supplier is tried in ascending id order and added to X after
+and go to X untried.  Otherwise it takes the unmet vertex with the fewest
+suppliers (the vertices of its hood, below) outside S and X, lowest id on
+ties, the fail-first rule of Haralick and Elliott (*Artificial
+Intelligence* 14, 1980): every completion holds one of them.  Each supplier is tried in ascending id order and added to X after
 its branch, so no two branches share a set.  A supplier whose joining would
 put a member over hi_in, or (with a member bound) an outside vertex over
 hi_out, which could only join over hi_in <= hi_out, goes to X with no
@@ -58,9 +57,9 @@ out of the set (the lex-leader rule of Crawford, Ginsberg, Luks and Roy,
 KR 1996); the existence walk excludes it as above.  Every kind is defined by
 bounds on |N(x) & S| alone, so swapping twins u < v in a set that holds v
 but not u gives a set of the same kind and size that is lexicographically
-smaller.  The lexicographically
-smallest minimum witness thus never breaks the rule, so every answer and
-witness is that of the full search; only ``nodes_explored`` falls.
+smaller.  The lexicographically smallest minimum witness thus never breaks
+the rule, so every answer and witness is that of the full search; only
+``nodes_explored`` falls.
 ``enumerate_masks`` and ``enumerate_sets`` list every set, without the cut.
 
 The scattered-set scans, ``first_sd_set`` and ``min_sd_size_plus_alpha``,
@@ -82,13 +81,11 @@ the minimum.  The witness phase then takes v = 0, 1, ... in turn with a set
 S and an excluded set X, both empty at first, until S has u members.  v
 joins S if it is in ``found``, which holds S, avoids X and has u members,
 or if a walk from the imposed prefix (S plus v, X) finds a set of at most u
-members, which becomes ``found``; otherwise v goes to X.  The phase runs
-without the twin table, whose exclusions are sound only for an X the walk
-built.  Only kinds with a binding upper bound descend.  The others are
-monotone: V is a set if any set is, so one has no set only when members
-need an in-set neighbour and some vertex is isolated.  That vertex has no
-supplier, so no pass gets past its first candidate, and the proof costs one
-node per size.
+members, which becomes ``found``; otherwise v goes to X.  The phase keeps
+the twin table.  Each vertex w in its X went there when a walk answered
+that no set of at most u members holds the S of that moment plus w and
+avoids the X of that moment: the invariant the walk keeps for its own X,
+at the same limit, so the swap argument holds for the phase's X as well.
 
 A packing bounds every set of a kind from below.  Call a vertex's hood its
 closed neighbourhood N[v], or its open one N(v) when members need an in-set
@@ -129,7 +126,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable
 
-from .domsets import SetKind, j_dependent_one_k, near_masks, scattered_test
+from .domsets import SetKind, check_int, j_dependent_one_k, near_masks, scattered_test
 from .graphs import (  # noqa: F401 (GraphTooLargeError is re-exported)
     Graph,
     GraphTooLargeError,
@@ -268,17 +265,16 @@ class _Search:
         self.found = 0  # the set the last successful walk reached
 
     def run(self, min_size: int, max_size: int, on_solution: Callable[[int], bool],
-            walk_after: int = 0, pack: bool = False) -> bool:
+            descend: bool = False) -> bool:
         """Explore candidate sets of each exact size from ``min_size`` to
         ``max_size``, one size at a time; sizes ascending, lexicographic
         within a size.  Deepening ends when the callback returns True or
-        after ``max_size``.  With ``walk_after`` p >= 1, the pass that
-        follows p passes that found no set first asks ``locate``: if no set
-        of at most ``max_size`` members exists, deepening ends; otherwise
-        the callback gets the ``witness`` at the minimum the walks found.
-        With ``pack``, the first pass that finds no set computes the
-        packing, and deepening skips every size below it; a skip of one
-        size or more counts as one more failed pass.
+        after ``max_size``.  With ``descend``, the first pass that finds no
+        set computes the packing, and deepening skips every size below it;
+        a skip of one size or more counts as one more failed pass.  The pass
+        that follows two failed passes first asks ``locate``: if no set of
+        at most ``max_size`` members exists, deepening ends; otherwise the
+        callback gets the ``witness`` at the minimum the walks found.
         A size that the double-counting bound (``_size_fits``) rules out
         holds no set: deepening skips it without a pass.  The root, the
         empty set, is valid only when n = 0; no vertex must join it, so its
@@ -306,7 +302,9 @@ class _Search:
         for size in range(max(min_size, 1), min(max_size, n) + 1):
             if size < floor or not self._size_fits(size):
                 continue  # no set has this size; a skipped size is not a pass
-            if walk_after and failed == walk_after:
+            if descend and failed == 2:
+                # two: on the seed-11 benchmark calls, descending after one
+                # costs solve 76,438 nodes against 31,528, and after three 51,201
                 minimum = self.locate(size, max_size)  # None: no set of any size up to max_size
                 return minimum is not None and on_solution(self.witness(minimum))
             self.nodes += 1
@@ -315,7 +313,7 @@ class _Search:
             if self._rec(0, size, 0, self.full, empty, n - size, on_solution):
                 return True
             failed += 1
-            if pack and failed == 1:
+            if descend and failed == 1:
                 floor = self.packing().bit_count()
                 if floor > size + 1:
                     failed += 1  # the sizes skipped up to the packing count as a failed pass
@@ -371,8 +369,7 @@ class _Search:
     def witness(self, size: int) -> int:
         """The lexicographically smallest set of the kind, when ``found`` has
         ``size`` members and no set is smaller: the witness phase of the
-        module docstring, which turns the twin table off for good."""
-        self.twin_before = None
+        module docstring."""
         mask, excluded, bit = 0, 0, 1
         while mask != self.found:  # found holds mask, avoids excluded and has size members
             if self.found & bit or self.exists(size, mask | bit, excluded):
@@ -632,31 +629,22 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     raises ``ValueError``.  Above the cap (``resolve_cap``) it raises
     ``GraphTooLargeError`` unless ``force``.
 
-    Deepening tries sizes 0, 1, 2, ..., and its first set is the witness,
-    unless descents of existence walks locate the minimum first; the
-    witness phase then builds that witness from the set the walks found
-    (see the module docstring).  A ``guess`` g >= 1, an expected minimum
-    size, starts with a descent below g.  If it finds no set, deepening
-    starts at g, so the sizes below g cost one walk instead of one pass
-    each; the phase in place of the pass at g cost ``product`` 33% more
-    nodes.  A guess above n makes the walk settle nonexistence alone.  The
-    answer and witness never depend on the guess, only ``nodes_explored``
-    does; a negative guess raises ``ValueError``.  Deepening descends
-    before a third pass after two that found no set, from the limit down to
-    that pass's size; with no set of at most the limit, the answer is
-    nonexistence.  Only a kind with a binding upper bound descends; one
-    without is monotone, and its passes cost one node per size when it has
-    no set.  C5∘C6 ``one_k(2)``, whose only set is V, takes 4,091 nodes,
-    23,953 when deepening went on through every size after a walk found V.
+    Deepening tries sizes 0, 1, 2, ..., and its first set is the witness.
+    Every kind runs one plan (``_Search.run`` with ``descend``): the first
+    pass that finds no set computes a greedy packing, and deepening skips
+    every size below it; after two failed passes, a descent of existence
+    walks locates the minimum and the witness phase builds the witness there
+    (see the module docstring).  The packing waits for a failed pass because
+    computing it in every call cost the ``product`` benchmark's thousands of
+    small factor solves 3-18% in wall time.
 
-    After the first pass that finds no set, the search computes a greedy
-    packing once (see the module docstring) and deepening skips every size
-    below it, since none holds a set; a skip of one size or more counts as
-    a failed pass for the rule above.  The packing waits for a failed pass
-    because computing it in every call cost the ``product`` benchmark's
-    thousands of small factor solves 3-18% in wall time.  On the
-    sparse 18-vertex ``solve`` benchmark graph, the packing and the walk
-    prove in 12 nodes that no total [1,2]-set exists.
+    A ``guess`` g >= 1, an expected minimum size, starts with a descent
+    below g.  If it finds no set, deepening starts at g, so the sizes below
+    g cost one walk instead of one pass each; the phase in place of the
+    pass at g cost ``product`` 33% more nodes.  A guess above n makes the
+    walk settle nonexistence alone.  The answer and witness never depend on
+    the guess, only ``nodes_explored`` does; a negative guess raises
+    ``ValueError``.
     """
     _check_limit(limit)
     if guess < 0:
@@ -670,12 +658,9 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
         found.append(mask)
         return True
 
-    # Two failed passes: on the seed-11 benchmark calls, descending after one
-    # costs solve 76,976 nodes against 36,092, and after three 52,202.
-    walk_after = 2 if search.hi_in is not None or search.hi_out is not None else 0
     size = search.locate(0, min(guess - 1, top)) if guess else None
     if size is None:  # no guess, or no set is smaller than it
-        search.run(guess, top, grab, walk_after=walk_after, pack=True)
+        search.run(guess, top, grab, descend=True)
     else:
         found.append(search.witness(size))
     if found:
@@ -779,6 +764,7 @@ def min_sd_size_plus_alpha(graph: Graph, j: int, k: int, *,
 
 def check_closed_form_k(k: int) -> None:
     """Raise ``ValueError`` unless the closed forms cover ``k`` (k >= 2)."""
+    check_int(k=k)
     if k < 2:
         raise ValueError("closed forms require k >= 2")
 
@@ -794,14 +780,10 @@ def closed_form(family: str, n: int, kind: str, k: int = 2) -> int:
     if kind not in ("t1k", "one_k", "i1k"):
         raise ValueError(f"unknown closed-form kind {kind!r}")
     check_closed_form_k(k)
+    check_int(n=n)
     minimum = 2 if family == "path" else 3
     if n < minimum:
         raise ValueError(f"{family} closed form requires n >= {minimum}")
     if kind == "t1k":
-        r = n % 4
-        if r == 0:
-            return n // 2
-        if r == 2:
-            return (n + 2) // 2
-        return (n + 1) // 2
+        return (n + (0, 1, 2, 1)[n % 4]) // 2
     return math.ceil(n / 3)

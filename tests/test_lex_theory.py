@@ -605,6 +605,16 @@ class TestOracleKind:
                     call()
                 assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kind", [None, "plain", "one_2", "i_one_k"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_k_must_be_an_int(self, kind, k):
+        # as in SetKind: bool is an int subclass and 2.0 compares like 2
+        for call in (lambda: lex_theory.check_k(k, kind),
+                     lambda: verify_against_oracle(P(3), P(2), kind or "total", k)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"k must be an integer, got {k!r}"
+
     FACTORIES = ("dominating", "efficient", "independent_one_k", "j_dependent_one_k",
                  "j_dependent_total_one_k", "one_k", "total_dominating", "total_one_k")
 
@@ -726,6 +736,13 @@ class TestCorollaryValues:
             corollary_value("cycle", "cycle", 2, 4, "one_2")
         with pytest.raises(ValueError):
             corollary_value("path", "path", 4, 1, "one_2")
+
+    @pytest.mark.parametrize("n, m", [(4.0, 3), (4, 3.0), (True, 3), (4, True)])
+    def test_rejects_sizes_that_are_not_ints(self, n, m):
+        bad = ("n", n) if type(n) is not int else ("m", m)
+        with pytest.raises(ValueError) as exc:
+            corollary_value("path", "path", n, m, "one_2")
+        assert str(exc.value) == f"{bad[0]} must be an integer, got {bad[1]!r}"
 
     @pytest.mark.parametrize("family_g, family_h, kind, message", [
         ("path", "path", "bogus", "unknown corollary kind 'bogus'"),

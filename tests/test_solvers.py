@@ -224,8 +224,9 @@ class TestSweepAfterFailedPasses:
     def _recording(monkeypatch):
         """Patch ``_Search`` so that each descent run inside deepening
         appends the size it located, None when it settled nonexistence, and
-        each witness phase appends its size to ``phases``."""
-        sweeps, phases = [], []
+        each witness phase appends its size to ``phases``, and to ``twinned``
+        when the phase runs with the twin table."""
+        sweeps, phases, twinned = [], [], []
 
         class Recorded(_Search):
             __slots__ = ("deepening",)
@@ -244,14 +245,29 @@ class TestSweepAfterFailedPasses:
                 return size
 
             def witness(self, size):
+                mask = super().witness(size)
                 phases.append(size)
-                return super().witness(size)
+                if self.twin_before is not None:  # still on after the phase
+                    twinned.append(size)
+                return mask
 
         monkeypatch.setattr(solvers, "_Search", Recorded)
-        return sweeps, phases
+        return sweeps, phases, twinned
+
+    @staticmethod
+    def _assert_deepening_alone(g, kind, limit, guess):
+        """``min_set`` gives the answer and witness of deepening alone: the
+        first set ``enumerate_masks`` lists, which has no twin cut and no
+        walk."""
+        first = []
+        enumerate_masks(g, kind, 0, g.n if limit is None else limit,
+                        lambda m: (first.append(mask_to_ids(m)), True)[1])
+        expected = (True, len(first[0]), first[0]) if first else (False, None, None)
+        r = min_set(g, kind, limit=limit, guess=guess)
+        assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
 
     def test_answers_match_deepening_alone(self, monkeypatch):
-        sweeps, phases = self._recording(monkeypatch)
+        sweeps, phases, twinned = self._recording(monkeypatch)
         rng = random.Random(0x5EE9)
         kinds = _kinds_k_up_to_3()
         assert {kind.base for kind in kinds} == set(BASES)
@@ -261,22 +277,28 @@ class TestSweepAfterFailedPasses:
             for kind in kinds:
                 limit = rng.choice((None, rng.randint(0, g.n)))
                 guess = rng.choice((0, rng.randint(1, g.n + 2)))
-                first = []
-                enumerate_masks(g, kind, 0, g.n if limit is None else limit,
-                                lambda m: (first.append(mask_to_ids(m)), True)[1])
-                expected = (True, len(first[0]), first[0]) if first else (False, None, None)
-                r = min_set(g, kind, limit=limit, guess=guess)
-                assert (r.exists, r.gamma, r.witness) == expected, (g, kind, limit, guess)
+                self._assert_deepening_alone(g, kind, limit, guess)
+        # twin-heavy lex products under the monotone kinds: every layer of an
+        # empty or complete H is a class of twins, and the witness phase keeps
+        # the twin table
+        for g_n, h_n in ((2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (6, 2)):
+            for h_p in (0.0, 1.0, 0.5):
+                g = lex_product(random_connected_graph(rng, g_n, 0.4), random_graph(rng, h_n, h_p))[0]
+                for kind in (dominating(), total_dominating(), one_k(g.n)):
+                    for guess in (0, 1, 2, 4):
+                        self._assert_deepening_alone(g, kind, rng.choice((None, g.n // 2)), guess)
         # descents that settled nonexistence, descents that located the
         # minimum, and witness phases, after a descent or a guess's walks
         located = len(sweeps) - sweeps.count(None)
         assert sweeps.count(None) >= 150 and located >= 100 and len(phases) >= 650
+        # phases on graphs with twins, which keep the twin table (487)
+        assert len(twinned) >= 450
 
     def test_set_found_only_after_the_sweep(self, monkeypatch):
         # the whole vertex set is the only [1,2]-set: two passes fail, the
         # first walk finds it, the second finds no smaller set, and the
         # witness phase takes V, which the walk found, with no further walk
-        sweeps, phases = self._recording(monkeypatch)
+        sweeps, phases, _ = self._recording(monkeypatch)
         r = min_set(TestPinnedSearchWork.C5_C6, one_k(2))
         assert sweeps == [30] and phases == [30]
         assert (r.gamma, r.witness) == (30, tuple(range(30)))
@@ -285,20 +307,24 @@ class TestSweepAfterFailedPasses:
         # in the phase, the prefix (1, 2, 3, 5) meets every vertex, but
         # members 3 and 5 are adjacent: the root must reject it before its
         # success test, or the witness is (1, 2, 3, 5), which is not independent
-        sweeps, phases = self._recording(monkeypatch)
+        sweeps, phases, _ = self._recording(monkeypatch)
         g = Graph(10, [(0, 1), (0, 2), (0, 8), (1, 7), (1, 8), (1, 9), (3, 4), (3, 5), (3, 8),
                        (5, 6), (8, 9)])
         r = min_set(g, independent_one_k(2))
         assert sweeps == [4] and phases == [4]
         assert (r.gamma, r.witness) == (4, (1, 2, 3, 6))
 
-    def test_monotone_kinds_never_sweep(self, monkeypatch):
-        # no binding upper bound: a kind with any set has V, so no sweep is needed
-        sweeps, phases = self._recording(monkeypatch)
-        for g in (TestPinnedSearchWork.G18, build_standard("path", 20)):
+    def test_monotone_kinds_descend(self, monkeypatch):
+        # no binding upper bound: a kind with any set has V, but the walks
+        # still locate the minimum after two failed passes, and the answers
+        # are those of deepening alone; on P20 and under dominating() on
+        # C14 o P2 the first pass finds a set
+        sweeps, phases, twinned = self._recording(monkeypatch)
+        product = lex_product(build_standard("cycle", 14), build_standard("path", 2))[0]
+        for g in (TestPinnedSearchWork.G18, build_standard("path", 20), product):
             for kind in (dominating(), total_dominating(), one_k(100)):
-                min_set(g, kind)
-        assert sweeps == [] and phases == []
+                self._assert_deepening_alone(g, kind, None, 0)
+        assert sweeps == phases == twinned == [5, 6, 5, 8]
 
 
 def _first_set(g, kind):
@@ -734,12 +760,38 @@ class TestTwinCut:
         assert sum(search.nodes for search in searches) <= 1620
 
     def test_closed_twins_of_a_product(self):
-        # 10,167 nodes before the twin cut; the layers of C14 o P2 are pairs
-        # of closed twins
+        # the layers of C14 o P2 are pairs of closed twins; the walks locate
+        # 8 and the witness phase, with the twin table, builds the witness:
+        # 870 nodes, 1,838 with the phase's twin table off, 487 while
+        # monotone kinds deepened through the pass at 8, and 10,167 before
+        # the twin cut
         product, _ = lex_product(build_standard("cycle", 14), build_standard("path", 2))
         r = min_set(product, total_dominating())
         assert (r.gamma, r.witness) == (8, (0, 1, 4, 6, 12, 14, 20, 22))
-        assert r.nodes_explored <= 487
+        assert r.nodes_explored <= 870
+
+    def test_witness_phase_keys_twins_on_the_excluded_set(self, monkeypatch):
+        # (P3 + K1) o Km: the last layer is a clique of closed twins whose
+        # only suppliers under a total kind are each other, so a phase walk
+        # must add a twin before its lower twin; a phase that skipped every
+        # vertex whose lower twin is not yet chosen returns (1, ...)
+        phases = []
+
+        class Recorded(_Search):
+            def witness(self, size):
+                mask = super().witness(size)
+                phases.append(self.twin_before is not None)
+                return mask
+
+        monkeypatch.setattr(solvers, "_Search", Recorded)
+        g_plus_k1 = Graph(4, [(0, 1), (1, 2)])
+        for m, witness in ((2, (0, 2, 6, 7)), (3, (0, 3, 9, 10))):
+            product = lex_product(g_plus_k1, build_standard("complete", m))[0]
+            for kind in (total_dominating(), total_one_k(2)):
+                assert _first_set(product, kind) == (4, witness)
+                r = min_set(product, kind)
+                assert (r.gamma, r.witness) == (4, witness), (m, kind)
+        assert phases == [True] * 4
 
 
 class TestNestedLevels:
@@ -825,21 +877,24 @@ class TestPinnedSearchWork:
         assert (r.exists, r.nodes_explored) == (False, 12)
 
     def test_deepening_jumps_to_the_packing(self):
-        # 869 before: after the failed pass at size 3 (the counting bound rules
-        # out 1 and 2), the open packing of 6 vertices skips sizes 4 and 5,
-        # and deepening finds the set at size 6
+        # after the failed pass at size 3 (the counting bound rules out 1 and
+        # 2), the open packing of 6 vertices skips sizes 4 and 5, which counts
+        # as a second failed pass, so the walks locate 6 and the witness
+        # phase builds the witness; 869 before the packing, and 410 while
+        # monotone kinds deepened through the pass at 6
         r = min_set(self.G18, total_dominating())
-        assert (r.gamma, r.nodes_explored) == (6, 410)
+        assert (r.gamma, r.nodes_explored) == (6, 55)
         assert _Search(self.G18, total_dominating()).packing().bit_count() == 6
 
-    def test_monotone_nonexistence_costs_one_node_per_size(self):
-        # vertex 31 is isolated, so no total dominating set exists: 33 nodes,
-        # the root and one per size, each ended by the counting bound or at
-        # the first candidate; 17 while a pass that no size-dependent cut
-        # touched also ended the deepening
+    def test_monotone_nonexistence_settled_by_the_walk(self):
+        # vertex 31 is isolated, so no total dominating set exists: the root
+        # and one node per size up to 17, each ended by the counting bound or
+        # at the first candidate, then 3 in the walk that settles
+        # nonexistence after the failed passes at 16 and 17; 33 while
+        # monotone kinds deepened through every size
         g = Graph(32, [(i, i + 1) for i in range(30)])
         r = min_set(g, total_dominating())
-        assert (r.exists, r.nodes_explored) == (False, 33)
+        assert (r.exists, r.nodes_explored) == (False, 21)
 
     def test_guessed_deepening(self):
         # the existence walk proves sizes 0..29 empty, then size 30 is
@@ -917,6 +972,13 @@ class TestClosedForm:
             closed_form("cycle", 2, "one_k")
         with pytest.raises(ValueError):
             closed_form("path", 5, "t1k", k=1)
+
+    @pytest.mark.parametrize("n, k", [(5, 2.5), (5, 2.0), (5, True), (5.0, 2), (True, 2)])
+    def test_rejects_parameters_that_are_not_ints(self, n, k):
+        bad = ("k", k) if type(k) is not int else ("n", n)
+        with pytest.raises(ValueError) as exc:
+            closed_form("path", n, "one_k", k=k)
+        assert str(exc.value) == f"{bad[0]} must be an integer, got {bad[1]!r}"
 
     @pytest.mark.parametrize("family, kind, message", [
         ("star", "t1k", "closed forms cover path and cycle, not 'star'"),
