@@ -19,20 +19,22 @@ dies if there are more of them than picks left, and otherwise its only
 branch adds the lowest of them.  No such vertex is ever in X, by the
 saturation cut: a vertex in X that hears hi_out members would go over
 hi_out if one more neighbour joined, so its neighbours leave the suppliers
-and go to X untried.  Otherwise it takes the unmet vertex with the fewest
-suppliers (the vertices of its hood, below) outside S and X, lowest id on
-ties, the fail-first rule of Haralick and Elliott (*Artificial
-Intelligence* 14, 1980): every completion holds one of them.  Each supplier is tried in ascending id order and added to X after
-its branch, so no two branches share a set.  A supplier whose joining would
-put a member over hi_in, or (with a member bound) an outside vertex over
-hi_out, which could only join over hi_in <= hi_out, goes to X with no
-branch: no completion holds it.  So does a supplier v whose next lower twin
-u is in X.  The branch that put u in X searched every set holding the S of
-that moment plus u and avoiding the X of that moment; neither twin was in
-either, so swapping u and v maps any set through v, S and the current X
-into that space.  The answer is that of a full subset scan.  Each child's
-forced joins, success and counting bound are read off its parent's levels,
-as in deepening (below), and only a child that passes them costs a call.
+and go to X untried.  Otherwise, with two picks or more left, it takes the
+unmet vertex with the fewest suppliers (the vertices of its hood, below)
+outside S and X, lowest id on ties, the fail-first rule of Haralick and
+Elliott (*Artificial Intelligence* 14, 1980): every completion holds one of
+them; the last pick is below.  Each supplier is tried in ascending id order
+and added to X after its branch, so no two branches share a set.  A
+supplier whose joining would put a member over hi_in, or (with a member
+bound) an outside vertex over hi_out, which could only join over
+hi_in <= hi_out, goes to X with no branch: no completion holds it.  So does a
+supplier v whose next lower twin u is in X.  The branch that put u in X
+searched every set holding the S of that moment plus u and avoiding the X
+of that moment; neither twin was in either, so swapping u and v maps any
+set through v, S and the current X into that space.  The answer is that of
+a full subset scan.  Each child's forced joins, success and counting bound
+are read off its parent's levels, as in deepening (below), and only a child
+that passes them costs a call.
 
 Pruning is sound-only.  A branch is cut when a spanning number already
 exceeds the applicable upper bound with no way to recover, or by a counting
@@ -62,6 +64,16 @@ the rule, so every answer and witness is that of the full search; only
 ``nodes_explored`` falls.
 ``enumerate_masks`` and ``enumerate_sets`` list every set, without the cut.
 
+The last member must meet every unmet vertex, and a member meets u exactly
+when it lies in u's hood.  So at the last pick both searches take only the
+vertices in every unmet vertex's hood, one AND per unmet vertex; each vertex
+this drops would leave one unmet.  Deepening narrows start..cap to them.
+The walk skips its scan and branches on the forced vertex, else on its free
+vertices, within them, ascending.  Its first success, and so ``found``, stay
+the same: every child that succeeded under the scan is among them, in the
+same order; a dropped sibling would have failed; and where one was v's lower
+twin, the swap argument shows that v fails too.
+
 The scattered-set scans, ``first_sd_set`` and ``min_sd_size_plus_alpha``,
 build a ``_Search`` with the graph's ``near`` masks (vertices at distance 1
 or 2), which then applies the scattered cut.  A member is settled once no
@@ -85,7 +97,8 @@ members, which becomes ``found``; otherwise v goes to X.  The phase keeps
 the twin table.  Each vertex w in its X went there when a walk answered
 that no set of at most u members holds the S of that moment plus w and
 avoids the X of that moment: the invariant the walk keeps for its own X,
-at the same limit, so the swap argument holds for the phase's X as well.
+at the same limit, so the swap argument holds for the phase's X as well,
+and a v whose next lower twin is in X goes to X with no walk.
 
 A packing bounds every set of a kind from below.  Call a vertex's hood its
 closed neighbourhood N[v], or its open one N(v) when members need an in-set
@@ -163,7 +176,8 @@ def check_cap(n: int, force: bool = False) -> None:
 
 
 def _check_limit(limit: int | None) -> None:
-    if limit is not None and limit < 0:
+    if limit is not None and (type(limit) is not int or limit < 0):
+        check_int(limit=limit)  # raises unless limit is an int, which is then negative
         raise ValueError(f"the limit must be non-negative, got {limit}")
 
 
@@ -303,8 +317,8 @@ class _Search:
             if size < floor or not self._size_fits(size):
                 continue  # no set has this size; a skipped size is not a pass
             if descend and failed == 2:
-                # two: on the seed-11 benchmark calls, descending after one
-                # costs solve 76,438 nodes against 31,528, and after three 51,201
+                # two: on the seed-11 benchmark calls, after one solve takes 12,496 nodes
+                # against 18,143 but product 55,552 against 54,089; after three solve 32,297
                 minimum = self.locate(size, max_size)  # None: no set of any size up to max_size
                 return minimum is not None and on_solution(self.witness(minimum))
             self.nodes += 1
@@ -343,7 +357,8 @@ class _Search:
         and runs the entry cuts every child gets from its parent, after the
         checks that ``_walk`` keeps true only for a prefix it built itself:
         no member over hi_in, no outsider over hi_out while hi_in binds, and
-        no vertex over hi_out in ``excluded``."""
+        no vertex over hi_out in ``excluded``.  With the twin table,
+        ``excluded`` must keep the walk's invariant, as the phase's X does."""
         while limit > 0 and not self._size_fits(limit):
             limit -= 1
         self.nodes += 1
@@ -370,13 +385,16 @@ class _Search:
         """The lexicographically smallest set of the kind, when ``found`` has
         ``size`` members and no set is smaller: the witness phase of the
         module docstring."""
-        mask, excluded, bit = 0, 0, 1
+        twin_before = self.twin_before
+        mask = excluded = v = 0
         while mask != self.found:  # found holds mask, avoids excluded and has size members
-            if self.found & bit or self.exists(size, mask | bit, excluded):
+            bit = 1 << v
+            if self.found & bit or not (twin_before and twin_before[v] & excluded) and \
+                    self.exists(size, mask | bit, excluded):
                 mask |= bit
             else:
-                excluded |= bit
-            bit <<= 1
+                excluded |= bit  # no walk when v's lower twin is excluded: the swap maps v there
+            v += 1
         return mask
 
     def _walk(self, mask: int, excluded: int, levels: list[int], unmet: int, must: int,
@@ -389,7 +407,8 @@ class _Search:
         this node's levels, as in ``_rec``: its forced joins, success and
         counting bound cost a few mask operations, it counts one node, and
         only a child that passes them gets a levels list and a call.  The
-        forced joins, cuts and exclusions are those of the module docstring.
+        forced joins, cuts, exclusions and the last pick's branches, which
+        meet every unmet vertex, are those of the module docstring.
         """
         hi_in = self.hi_in
         hi_out = self.hi_out
@@ -410,7 +429,9 @@ class _Search:
                 low = saturated & -saturated
                 saturated ^= low
                 free &= ~adj[low.bit_length() - 1]
-        if must:
+        if left == 1:
+            suppliers = self._meeting(unmet, must or free)  # no scan: it must meet every unmet
+        elif must:
             suppliers = must & -must  # the lowest forced vertex is the only branch
         else:
             hoods = self.hoods
@@ -479,6 +500,16 @@ class _Search:
         self.nodes += nodes
         return False
 
+    def _meeting(self, unmet: int, candidates: int) -> int:
+        """The ``candidates`` that meet every ``unmet`` vertex: a member
+        meets u exactly when it lies in u's hood."""
+        hoods = self.hoods
+        while unmet and candidates:
+            low = unmet & -unmet
+            unmet ^= low
+            candidates &= hoods[low.bit_length() - 1]
+        return candidates
+
     def packing(self) -> int:
         """Mask of a greedy packing: vertices with pairwise disjoint non-empty
         hoods, taken in ascending order of hood size, ties by id.  Every
@@ -538,7 +569,8 @@ class _Search:
         child that passes its entry cuts and will be extended gets a levels
         list and a call.  Only sets that use every pick are tested.  The loop
         stops once the skipped candidates ``start..v-1`` were the last
-        suppliers of an unmet vertex.
+        suppliers of an unmet vertex; the last pick takes only candidates
+        in every unmet vertex's hood (see the module docstring).
         """
         adj = self.adj
         dead_before = self.dead_before
@@ -562,12 +594,17 @@ class _Search:
         unmet_cap = left * self.gain
         child_top = self.n - left
         nodes = 0
-        for v in range(start, cap + 1):
+        candidates = (2 << cap) - (1 << start)  # start..cap
+        if not left:  # the last member must meet every unmet vertex
+            candidates = self._meeting(unmet, candidates)
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            v = bit.bit_length() - 1
             if unmet & dead_before[v]:
                 break  # skipping start..v-1 left an unmet vertex no supplier
             if twin_before is not None and twin_before[v] & ~mask:
                 continue  # v's lower twin was skipped: swapping them gives a smaller set
-            bit = 1 << v
             new_mask = mask | bit
             av = adj[v]
             if hi_in is not None:
@@ -647,7 +684,8 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     ``ValueError``.
     """
     _check_limit(limit)
-    if guess < 0:
+    if type(guess) is not int or guess < 0:  # checked inline: min_set runs in hot loops
+        check_int(guess=guess)
         raise ValueError(f"the guess must be non-negative, got {guess}")
     check_cap(graph.n, force)
     search = _Search(graph, kind, break_twins=True)
@@ -696,6 +734,7 @@ def enumerate_masks(graph: Graph, kind: SetKind, min_size: int, max_size: int,
     size.  The callback returns True to stop early.  Returns the number of
     search nodes explored.  Above the cap it raises ``GraphTooLargeError``.
     """
+    check_int(min_size=min_size, max_size=max_size)
     if min_size < 0:
         raise ValueError("size must be non-negative")
     check_cap(graph.n)
@@ -709,6 +748,7 @@ def enumerate_sets(graph: Graph, kind: SetKind, size: int,
     """Invoke the callback on every satisfying set of the exact size, in
     lexicographic order; the callback returns True to stop early.  Returns
     the number of search nodes explored."""
+    check_int(size=size)
     return enumerate_masks(graph, kind, size, size,
                            lambda mask: on_solution(frozenset(mask_to_ids(mask))))
 

@@ -402,6 +402,31 @@ class TestExistenceWalk:
         # forced joins and the saturation cut were both reached
         assert seen["forced"] >= 2000 and seen["saturated"] >= 1000
 
+    def test_prefix_walks_match_the_listing(self):
+        # the witness phase's question: is there a set that holds a prefix,
+        # avoids an excluded set and has at most limit members?  An excluded
+        # vertex can meet every unmet vertex, and the last pick must skip it
+        rng = random.Random(0x3A1D)
+        kinds = _kinds_k_up_to_3()
+        answers = []
+        for g in self._graphs():
+            for kind in kinds:
+                sets = []
+                enumerate_masks(g, kind, 0, g.n, lambda mask: sets.append(mask))
+                for _ in range(6):
+                    mask, excluded = rng.getrandbits(g.n), rng.getrandbits(g.n)
+                    mask &= rng.getrandbits(g.n) & ~excluded
+                    limit = rng.randint(mask.bit_count(), g.n)
+                    search = _Search(g, kind)
+                    answer = search.exists(limit, mask, excluded)
+                    assert answer is any(s & mask == mask and not s & excluded and
+                                         s.bit_count() <= limit for s in sets), (g, kind)
+                    if answer:
+                        assert search.found & mask == mask and not search.found & excluded
+                        assert search.found in sets and search.found.bit_count() <= limit
+                    answers.append(answer)
+        assert answers.count(True) >= 1000 and answers.count(False) >= 1000
+
     def test_every_reported_set_is_a_set_within_the_limit(self):
         reported = 0
         for g in self._graphs():
@@ -762,13 +787,14 @@ class TestTwinCut:
     def test_closed_twins_of_a_product(self):
         # the layers of C14 o P2 are pairs of closed twins; the walks locate
         # 8 and the witness phase, with the twin table, builds the witness:
-        # 870 nodes, 1,838 with the phase's twin table off, 487 while
-        # monotone kinds deepened through the pass at 8, and 10,167 before
-        # the twin cut
+        # 656 nodes, 719 while the phase walked for a vertex whose lower twin
+        # it had excluded, 870 while every last pick tried each candidate,
+        # 1,838 with the phase's twin table off, 487 while monotone kinds
+        # deepened through the pass at 8, and 10,167 before the twin cut
         product, _ = lex_product(build_standard("cycle", 14), build_standard("path", 2))
         r = min_set(product, total_dominating())
         assert (r.gamma, r.witness) == (8, (0, 1, 4, 6, 12, 14, 20, 22))
-        assert r.nodes_explored <= 870
+        assert r.nodes_explored <= 656
 
     def test_witness_phase_keys_twins_on_the_excluded_set(self, monkeypatch):
         # (P3 + K1) o Km: the last layer is a clique of closed twins whose
@@ -854,20 +880,24 @@ class TestPinnedSearchWork:
         # finds V: 23,954 when a variable-size sweep asked it, 23,953 when
         # one walk did and deepening went on through every size, 4,122 when
         # a second walk proved every smaller size empty and deepening skipped
-        # to 30; now the witness phase takes V from the walk with no node
+        # to 30; now the witness phase takes V from the walk with no node;
+        # 4,091 while every last pick tried each candidate
         r = min_set(self.C5_C6, one_k(2))
-        assert (r.gamma, r.nodes_explored) == (30, 4091)
+        assert (r.gamma, r.nodes_explored) == (30, 2330)
 
     def test_witness_phase(self):
         # the walks locate the minimum 6 after two failed passes, and the
         # witness phase builds the witness from the set they found; 1,147
-        # when deepening ran its pass at 6
+        # when deepening ran its pass at 6, 424 while every last pick tried
+        # each candidate, and 263 while the phase walked for a vertex whose
+        # lower twin it had excluded
         r = min_set(self.G18, one_k(2))
-        assert (r.gamma, r.witness, r.nodes_explored) == (6, (0, 4, 8, 9, 16, 17), 424)
+        assert (r.gamma, r.witness, r.nodes_explored) == (6, (0, 4, 8, 9, 16, 17), 261)
 
     def test_nonexistence_proof(self):
+        # 9,194 while every last pick tried each candidate
         r = min_set(self.C5_C6, total_one_k(2))
-        assert (r.exists, r.nodes_explored) == (False, 9194)
+        assert (r.exists, r.nodes_explored) == (False, 6635)
 
     def test_nonexistence_settled_by_the_sweep(self):
         # 9,816 when deepening alone proves every size empty, 1,941 before
@@ -880,10 +910,12 @@ class TestPinnedSearchWork:
         # after the failed pass at size 3 (the counting bound rules out 1 and
         # 2), the open packing of 6 vertices skips sizes 4 and 5, which counts
         # as a second failed pass, so the walks locate 6 and the witness
-        # phase builds the witness; 869 before the packing, and 410 while
-        # monotone kinds deepened through the pass at 6
+        # phase builds the witness; 869 before the packing, 410 while
+        # monotone kinds deepened through the pass at 6, 55 while every last
+        # pick tried each candidate, and 43 while the phase walked for a
+        # vertex whose lower twin it had excluded
         r = min_set(self.G18, total_dominating())
-        assert (r.gamma, r.nodes_explored) == (6, 55)
+        assert (r.gamma, r.nodes_explored) == (6, 39)
         assert _Search(self.G18, total_dominating()).packing().bit_count() == 6
 
     def test_monotone_nonexistence_settled_by_the_walk(self):
@@ -917,13 +949,25 @@ class TestPinnedSearchWork:
 
     def test_exists_set_sweep(self):
         # the existence walk with exists_set's twin table, before its packing
-        # test; 1,102 and 168 nodes in the variable-size sweep without one
-        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 61),
+        # test; 1,102 and 168 nodes in the variable-size sweep without one,
+        # and 61 for the no-instance while the last pick scanned for suppliers
+        for sets, found, nodes in ((((0, 1, 2), (1, 3, 4), (2, 4, 5)), False, 48),
                                    (((0, 1, 2), (0, 1, 3), (3, 4, 5)), True, 9)):
             graph, meta = build_gadget(X3CInstance(6, sets))
             search = _Search(graph, total_one_k(2), break_twins=True)
             assert search.exists(meta.budget) is found
             assert search.nodes == nodes
+
+    def test_last_pick_meets_every_unmet_vertex(self):
+        # one pick is left at the root, and every vertex but 1 is unmet; the
+        # fewest-suppliers scan chose 3 (hood {3, 4}), not the lowest unmet
+        # vertex 0, and tried 3 before 4: 3 nodes.  The last pick tries only
+        # 4, the one vertex in every unmet vertex's hood, and reaches the
+        # same set
+        search = _Search(Graph(5, [(0, 2), (0, 4), (2, 4), (3, 4)]), dominating(),
+                         break_twins=True)
+        assert search.exists(2, 0b10)
+        assert (search.found, search.nodes) == (0b10010, 2)
 
     def test_scattered_scan(self, monkeypatch):
         searches = []
@@ -935,7 +979,8 @@ class TestPinnedSearchWork:
 
         monkeypatch.setattr(solvers, "_Search", Counted)
         assert lex_theory.min_sd_size_plus_alpha(build_standard("path", 20), 1, 2)[0] == 10
-        assert [search.nodes for search in searches] == [1003]
+        # 1,003 while every last pick tried each candidate
+        assert [search.nodes for search in searches] == [909]
 
 
 class TestEnumerateSets:
@@ -1129,6 +1174,26 @@ class TestDeterminismAndCap:
                     call(g, dominating(), limit=-1)
             assert min_set(g, dominating(), limit=0).exists is (g.n == 0)
             assert exists_set(g, dominating(), limit=0) is (g.n == 0)
+
+    def test_sizes_that_are_not_ints_rejected(self):
+        # each used to raise TypeError inside range, count True as 1, or, for
+        # exists_set at 1.5, answer False
+        c5, kind = build_standard("cycle", 5), one_k(2)
+        for name, value, call in (
+                ("limit", 2.5, lambda v: min_set(c5, kind, limit=v)),
+                ("limit", 2.0, lambda v: min_set(c5, kind, limit=v)),
+                ("limit", True, lambda v: min_set(c5, kind, limit=v)),
+                ("guess", 2.0, lambda v: min_set(c5, kind, guess=v)),
+                ("guess", True, lambda v: min_set(c5, kind, guess=v)),
+                ("limit", 1.5, lambda v: exists_set(c5, kind, limit=v)),
+                ("limit", True, lambda v: exists_set(c5, kind, limit=v)),
+                ("min_size", 0.0, lambda v: enumerate_masks(c5, kind, v, 2, lambda m: False)),
+                ("max_size", 2.5, lambda v: enumerate_masks(c5, kind, 0, v, lambda m: False)),
+                ("size", 2.0, lambda v: enumerate_sets(c5, kind, v, lambda s: False)),
+                ("size", True, lambda v: enumerate_sets(c5, kind, v, lambda s: False))):
+            with pytest.raises(ValueError) as exc:
+                call(value)
+            assert str(exc.value) == f"{name} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize("entry", sorted(CAPPED_ENTRY_POINTS))
     def test_env_cap_reaches_every_entry_point(self, monkeypatch, entry):
