@@ -38,14 +38,6 @@ def base_parameters(base: str) -> tuple[str, ...]:
     return _PARAMETERS[base]
 
 
-def check_int(**values: object) -> None:
-    """Raise ``ValueError`` unless every value is an ``int``: bool is an int
-    subclass and 2.0 compares like 2, but neither is a size or a bound."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SetKind:
     """A domination variant, optionally parameterized by k and j.

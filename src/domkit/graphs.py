@@ -31,6 +31,14 @@ class GraphTooLargeError(ValueError):
     """Raised when a graph exceeds the solver cap and force is not set."""
 
 
+def check_int(**values: object) -> None:
+    """Raise ``ValueError`` unless every value is an ``int``: bool is an int
+    subclass and 2.0 compares like 2, but neither is a size or a bound."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_vertex_cap(n: int, cap: int) -> None:
     """Raise ``GraphTooLargeError`` when ``n`` vertices exceed ``cap``."""
     if n > cap:
@@ -60,7 +68,8 @@ class Graph:
     __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        if n < 0:
+        if type(n) is not int or n < 0:
+            check_int(n=n)  # raises unless n is an int, which is then negative
             raise ValueError("vertex count must be non-negative")
         masks = [0] * n
         for u, v in edges:
@@ -144,6 +153,7 @@ def build_standard(family: str, n: int) -> Graph:
     """
     if family not in STANDARD_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    check_int(n=n)
     if n < 1:
         raise ValueError("n must be positive")
     if family == "path":

@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Callable, Collection, Iterator
 
 from . import domsets
-from .domsets import SetKind, check_int
-from .graphs import Graph, is_connected, lex_product, mask_to_ids
+from .domsets import SetKind
+from .graphs import Graph, check_int, is_connected, lex_product, mask_to_ids
 from .solvers import check_cap, exists_set, first_sd_set, min_sd_size_plus_alpha, min_set
 
 # The kinds the predictions solve for.  Kinds are immutable, so each is built

@@ -83,22 +83,26 @@ so once another member lies within distance 2 of it no extension is
 scattered and the child is skipped.  The scans accept only scattered sets,
 so their answers are those of the full listing.
 
-Deepening ends at a pass that finds a set or at the size limit, or it is
-settled by the descent that ``min_set`` runs after two failed passes, before
-the pass at size s.  The walk first asks for a set of at most the limit;
-with none, the answer is nonexistence.  Each set it finds, of u members,
-makes it ask again for u - 1 or fewer, while that is at least s.  The
-last walk proves every size below the smallest u empty, or u is s, so u is
-the minimum.  The witness phase then takes v = 0, 1, ... in turn with a set
-S and an excluded set X, both empty at first, until S has u members.  v
-joins S if it is in ``found``, which holds S, avoids X and has u members,
-or if a walk from the imposed prefix (S plus v, X) finds a set of at most u
-members, which becomes ``found``; otherwise v goes to X.  The phase keeps
-the twin table.  Each vertex w in its X went there when a walk answered
-that no set of at most u members holds the S of that moment plus w and
-avoids the X of that moment: the invariant the walk keeps for its own X,
-at the same limit, so the swap argument holds for the phase's X as well,
-and a v whose next lower twin is in X goes to X with no walk.
+``min_set``'s plan is one method, ``_Search.minimum``.  A guess g >= 1 first
+runs the descent below with s = 0 and the limit g - 1; with no set found,
+deepening starts at g.  It ends at a pass that finds a set, the witness, or
+at the size limit, or the descent settles it before the pass at size s that
+follows two failed passes.  The empty root and the sizes that the counting
+bound or double counting (below) rule out are not passes.  The walk first
+asks for a set of at most the limit; with none, the answer is nonexistence.
+Each set it finds, of u members, makes it ask again for u - 1 or fewer,
+while that is at least s.  The last walk proves every size below the
+smallest u empty, or u is s, so u is the minimum.  The witness phase then
+takes v = 0, 1, ... in turn with a set S and an excluded set X, both empty
+at first, until S has u members.  v joins S if it is in ``found``, which
+holds S, avoids X and has u members, or if a walk from the imposed prefix (S
+plus v, X) finds a set of at most u members, which becomes ``found``;
+otherwise v goes to X.  The phase keeps the twin table.  Each vertex w in
+its X went there when a walk answered that no set of at most u members holds
+the S of that moment plus w and avoids the X of that moment: the invariant
+the walk keeps for its own X, at the same limit, so the swap argument holds
+for the phase's X as well, and a v whose next lower twin is in X goes to X
+with no walk.
 
 A packing bounds every set of a kind from below.  Call a vertex's hood its
 closed neighbourhood N[v], or its open one N(v) when members need an in-set
@@ -112,8 +116,8 @@ walk when the packing exceeds its limit: on the X3C gadget, q + 1
 elements that no set holds two of, plus two vertices per 4-cycle, exceed
 the budget 2t + q, which settles all 300 no-instances of the catalog that
 reach the gadget.  ``min_set`` computes the packing once, after its first
-pass that finds no set, and deepening then skips every size below it;
-every skipped size is empty, so answers and witnesses are unchanged.
+pass that finds no set, and skips every size below it, a second failed
+pass if it skips any; those sizes are empty, so no answer changes.
 
 Deepening never starts a pass for a size that double counting rules out
 (the edge-counting argument for bounded domination in Haynes, Hedetniemi
@@ -125,8 +129,7 @@ receives at most hi_out, so the s smallest degrees must give
 sum(max(0, d - min(s - 1, hi_in))) <= hi_out * t; an outside vertex keeps at
 least d - hi_out neighbors among the t - 1 others, so the t smallest degrees
 must give sum(max(0, d - hi_out)) <= t * (t - 1).  A size that fails holds no
-set; skipping it runs no pass, so it cannot end the deepening, and the walk
-lowers its limit to the largest size the bound allows.
+set and runs no pass, and the walk lowers its limit to the largest that fits.
 """
 
 from __future__ import annotations
@@ -139,10 +142,11 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable
 
-from .domsets import SetKind, check_int, j_dependent_one_k, near_masks, scattered_test
+from .domsets import SetKind, j_dependent_one_k, near_masks, scattered_test
 from .graphs import (  # noqa: F401 (GraphTooLargeError is re-exported)
     Graph,
     GraphTooLargeError,
+    check_int,
     check_vertex_cap,
     mask_to_ids,
 )
@@ -234,12 +238,11 @@ def _twin_before(adj: tuple[int, ...], closed: list[int]) -> list[int] | None:
 
 class _Search:
     """Bitmask DFS over candidate sets for one (graph, kind) pair: ``run``
-    deepens over exact sizes, ``exists`` walks the existence question,
-    ``locate`` descends with walks to the minimum, and ``witness`` builds
-    the canonical witness there (see the module docstring).  With
-    ``break_twins`` deepening and the walk break twin symmetry, with the
-    graph's ``near`` masks deepening applies the scattered cut, and with
-    neither it reaches every set."""
+    lists sets by exact sizes, ``minimum`` runs ``min_set``'s plan with
+    ``locate`` and ``witness``, and ``exists`` walks the existence question
+    (see the module docstring).  With ``break_twins`` deepening and the walk
+    break twin symmetry, with the graph's ``near`` masks deepening applies
+    the scattered cut, and with neither it reaches every set."""
 
     __slots__ = (
         "n", "adj", "full", "delta", "dead_before", "levels_len", "gain", "hi_in", "hi_out",
@@ -276,29 +279,56 @@ class _Search:
         self.near = near
         self.degrees: list[int] | None = None  # ascending, sorted by _size_fits
         self.nodes = 0
-        self.found = 0  # the set the last successful walk reached
+        self.found = 0  # the set the last successful walk, or minimum's pass, reached
 
-    def run(self, min_size: int, max_size: int, on_solution: Callable[[int], bool],
-            descend: bool = False) -> bool:
-        """Explore candidate sets of each exact size from ``min_size`` to
-        ``max_size``, one size at a time; sizes ascending, lexicographic
-        within a size.  Deepening ends when the callback returns True or
-        after ``max_size``.  With ``descend``, the first pass that finds no
-        set computes the packing, and deepening skips every size below it;
-        a skip of one size or more counts as one more failed pass.  The pass
-        that follows two failed passes first asks ``locate``: if no set of
-        at most ``max_size`` members exists, deepening ends; otherwise the
-        callback gets the ``witness`` at the minimum the walks found.
-        A size that the double-counting bound (``_size_fits``) rules out
-        holds no set: deepening skips it without a pass.  The root, the
-        empty set, is valid only when n = 0; no vertex must join it, so its
-        one entry cut is the counting bound.
-        """
-        n = self.n
-        if min_size == 0:
-            self.nodes += 1
-            if n == 0 and on_solution(0):
+    def run(self, min_size: int, max_size: int, on_solution: Callable[[int], bool]) -> bool:
+        """List the sets of ``min_size`` to ``max_size`` members, by size, then
+        lexicographically, until the callback returns True; return whether it did."""
+        for size in range(min_size, min(max_size, self.n) + 1):
+            if self._size_fits(size) and self._pass(size, on_solution):
                 return True
+        return False
+
+    def minimum(self, guess: int, top: int) -> int | None:
+        """The lexicographically smallest set of the smallest size, at most
+        ``top``, as a mask; None when no set has at most ``top`` members.
+        ``guess`` is ``min_set``'s; the plan is in the module docstring."""
+        size = self.locate(0, min(guess - 1, top))  # no walk without a guess
+        if size is not None:
+            return self.witness(size)
+        failed = floor = 0  # passes that found no set; sizes below floor hold none
+        for size in range(guess, top + 1):
+            if size < floor or not self._size_fits(size):
+                continue  # no set has this size; a skipped size is not a pass
+            if failed == 2:
+                # two: after one, seed-11 product takes 55,552 nodes, not 54,089 (README)
+                size = self.locate(size, top)
+                return None if size is None else self.witness(size)
+            found = self._pass(size, self._keep)
+            if found:
+                return self.found
+            if found is not None:
+                failed += 1
+                if failed == 1:
+                    floor = self.packing().bit_count()
+                    if floor > size + 1:
+                        failed += 1  # the sizes skipped up to the packing count as a failed pass
+        return None
+
+    def _keep(self, mask: int) -> bool:
+        self.found = mask
+        return True
+
+    def _pass(self, size: int, on_solution: Callable[[int], bool]) -> bool | None:
+        """Deepening's pass at one exact size: whether the callback took a
+        set, or None when the counting bound, the empty root's one entry
+        cut, rules the size out and no pass runs."""
+        n = self.n
+        self.nodes += 1
+        if n > size * self.gain:
+            return None  # the counting bound, which a larger size may pass
+        if not size:
+            return on_solution(0)
         if self.dead_before is None:
             # A vertex's suppliers are its hood.  dead_before[v] = vertices
             # whose suppliers all have ids below v: once the candidates
@@ -310,28 +340,7 @@ class _Search:
             for w, hood in enumerate(self.hoods):
                 buckets[hood.bit_length()] |= 1 << w
             self.dead_before = list(accumulate(buckets, or_))
-        empty = [0] * self.levels_len  # _rec copies levels before changing them
-        failed = 0  # passes that ended with no set
-        floor = 0  # sizes below it hold no set: the packing
-        for size in range(max(min_size, 1), min(max_size, n) + 1):
-            if size < floor or not self._size_fits(size):
-                continue  # no set has this size; a skipped size is not a pass
-            if descend and failed == 2:
-                # two: on the seed-11 benchmark calls, after one solve takes 12,496 nodes
-                # against 18,143 but product 55,552 against 54,089; after three solve 32,297
-                minimum = self.locate(size, max_size)  # None: no set of any size up to max_size
-                return minimum is not None and on_solution(self.witness(minimum))
-            self.nodes += 1
-            if n > size * self.gain:
-                continue  # the counting bound, which a larger size may pass
-            if self._rec(0, size, 0, self.full, empty, n - size, on_solution):
-                return True
-            failed += 1
-            if descend and failed == 1:
-                floor = self.packing().bit_count()
-                if floor > size + 1:
-                    failed += 1  # the sizes skipped up to the packing count as a failed pass
-        return False
+        return self._rec(0, size, 0, self.full, [0] * self.levels_len, n - size, on_solution)
 
     def locate(self, low: int, limit: int) -> int | None:
         """Where the minimum lies, by a descent of existence walks: None
@@ -666,22 +675,19 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
     raises ``ValueError``.  Above the cap (``resolve_cap``) it raises
     ``GraphTooLargeError`` unless ``force``.
 
-    Deepening tries sizes 0, 1, 2, ..., and its first set is the witness.
-    Every kind runs one plan (``_Search.run`` with ``descend``): the first
-    pass that finds no set computes a greedy packing, and deepening skips
-    every size below it; after two failed passes, a descent of existence
-    walks locates the minimum and the witness phase builds the witness there
-    (see the module docstring).  The packing waits for a failed pass because
-    computing it in every call cost the ``product`` benchmark's thousands of
-    small factor solves 3-18% in wall time.
+    Every kind runs one plan, ``_Search.minimum``: the guess's descent,
+    deepening's passes over sizes 0, 1, 2, ..., the packing floor after the
+    first pass that finds no set, the descent after two such passes, and
+    the witness phase (see the module docstring).  The packing waits for a
+    failed pass because computing it in every call cost the ``product``
+    benchmark's thousands of small factor solves 3-18% in wall time.
 
-    A ``guess`` g >= 1, an expected minimum size, starts with a descent
-    below g.  If it finds no set, deepening starts at g, so the sizes below
-    g cost one walk instead of one pass each; the phase in place of the
-    pass at g cost ``product`` 33% more nodes.  A guess above n makes the
-    walk settle nonexistence alone.  The answer and witness never depend on
-    the guess, only ``nodes_explored`` does; a negative guess raises
-    ``ValueError``.
+    A ``guess`` g >= 1 is an expected minimum size.  With no set below it,
+    the sizes below g cost one walk instead of one pass each; the phase in
+    place of the pass at g cost ``product`` 33% more nodes.  A guess above n
+    makes the walk settle nonexistence alone.  The answer and witness never
+    depend on the guess, only ``nodes_explored`` does; a negative guess
+    raises ``ValueError``.
     """
     _check_limit(limit)
     if type(guess) is not int or guess < 0:  # checked inline: min_set runs in hot loops
@@ -689,22 +695,11 @@ def min_set(graph: Graph, kind: SetKind, limit: int | None = None, *, guess: int
         raise ValueError(f"the guess must be non-negative, got {guess}")
     check_cap(graph.n, force)
     search = _Search(graph, kind, break_twins=True)
-    top = graph.n if limit is None else min(limit, graph.n)
-    found: list[int] = []
-
-    def grab(mask: int) -> bool:
-        found.append(mask)
-        return True
-
-    size = search.locate(0, min(guess - 1, top)) if guess else None
-    if size is None:  # no guess, or no set is smaller than it
-        search.run(guess, top, grab, descend=True)
-    else:
-        found.append(search.witness(size))
-    if found:
-        witness = mask_to_ids(found[0])
-        return SolveResult(kind, True, len(witness), witness, search.nodes)
-    return SolveResult(kind, False, None, None, search.nodes)
+    mask = search.minimum(guess, graph.n if limit is None else min(limit, graph.n))
+    if mask is None:
+        return SolveResult(kind, False, None, None, search.nodes)
+    witness = mask_to_ids(mask)
+    return SolveResult(kind, True, len(witness), witness, search.nodes)
 
 
 def exists_set(graph: Graph, kind: SetKind, limit: int | None = None, *,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import atlas_by_order
+from conftest import atlas_by_order, random_graph
 
 from domkit.graphs import (
     Graph,
@@ -61,6 +61,15 @@ class TestConstruction:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        # bool is an int subclass: Graph(True) was a graph that wrote "True 0",
+        # an edge list the parser rejects
+        for call in (lambda: Graph(n), lambda: build_standard("path", n)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"n must be an integer, got {n!r}"
 
     def test_collapses_duplicates(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
@@ -228,10 +237,16 @@ class TestLexProduct:
                 assert (idx.n_g, idx.n_h) == (g.n, h.n)
 
     def test_identity_factor(self):
+        k1 = build_standard("path", 1)
         h = build_standard("path", 4)
-        p, idx = lex_product(build_standard("path", 1), h)
+        p, idx = lex_product(k1, h)
         assert p == h
         assert idx.id_of(0, 2) == 2
+        # G o K1 and K1 o G are G with the same ids, since id(g, h) = g * n_h + h
+        rng = random.Random(0xD15D)
+        for n in range(1, 17):
+            g = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+            assert lex_product(g, k1)[0] == g and lex_product(k1, g)[0] == g
 
     def test_p2_p2_is_k4(self):
         p, _ = lex_product(build_standard("path", 2), build_standard("path", 2))

@@ -222,25 +222,17 @@ class TestSweepAfterFailedPasses:
 
     @staticmethod
     def _recording(monkeypatch):
-        """Patch ``_Search`` so that each descent run inside deepening
+        """Patch ``_Search`` so that each descent after failed passes
         appends the size it located, None when it settled nonexistence, and
         each witness phase appends its size to ``phases``, and to ``twinned``
-        when the phase runs with the twin table."""
+        when the phase runs with the twin table.  Those descents start above
+        0, a guess's descent at 0."""
         sweeps, phases, twinned = [], [], []
 
         class Recorded(_Search):
-            __slots__ = ("deepening",)
-
-            def run(self, *args, **kwargs):
-                self.deepening = True
-                try:
-                    return super().run(*args, **kwargs)
-                finally:
-                    self.deepening = False
-
             def locate(self, low, limit):
                 size = super().locate(low, limit)
-                if getattr(self, "deepening", False):
+                if low > 0:
                     sweeps.append(size)
                 return size
 
@@ -713,6 +705,70 @@ def _with_copies(rng, g, copies):
     return Graph(n + copies, edges)
 
 
+class TestDisjointUnion:
+    """Metamorphic checks past brute force.  Every kind bounds each vertex's
+    count of in-set neighbours, so on a disjoint union G + H a set exists
+    iff both parts have one, gamma adds over the parts, and the canonical
+    witness is the union of the parts' canonical witnesses, each part taken
+    under the id order the union induces on it: for sets of one size, S
+    comes first iff min(S ^ T) is in S, and S ^ T splits by part.  The
+    unions reach 32 vertices, where the packing, the counting and
+    double-counting bounds, the last pick and the twin table all act."""
+
+    @staticmethod
+    def _part(rng):
+        n = rng.randint(1, 16)
+        p = rng.choice((0.1, 0.2, 0.35, 0.5, 0.8))
+        copies = rng.randint(0, n // 3)  # twin classes for the twin table
+        return _with_copies(rng, random_graph(rng, n - copies, p), copies)
+
+    @staticmethod
+    def _union(rng, parts):
+        """The disjoint union under shuffled ids, and for each part its
+        union ids ascending and the part relabelled in that order."""
+        total = sum(part.n for part in parts)
+        perm = list(range(total))
+        rng.shuffle(perm)
+        edges, placed, offset = [], [], 0
+        for part in parts:
+            ids = sorted(perm[offset:offset + part.n])
+            rank = {u: i for i, u in enumerate(ids)}
+            moved = [(perm[offset + u], perm[offset + v]) for u, v in part.edges()]
+            edges += moved
+            placed.append((ids, Graph(part.n, [(rank[u], rank[v]) for u, v in moved])))
+            offset += part.n
+        return Graph(total, edges), placed
+
+    def test_union_of_two_parts(self):
+        rng = random.Random(0xD15C)
+        kinds = _kinds_k_up_to_3()
+        assert len(kinds) == 31
+        checks = 0
+        for _ in range(100):
+            parts = [self._part(rng), self._part(rng)]
+            union, placed = self._union(rng, parts)
+            for kind in kinds:
+                r = min_set(union, kind)
+                gamma, witness, exists = 0, set(), True
+                for part, (ids, induced) in zip(parts, placed):
+                    q = min_set(induced, kind)
+                    # relabelling invariance: the part under its own ids
+                    p = min_set(part, kind)
+                    assert (q.exists, q.gamma) == (p.exists, p.gamma), (part, kind)
+                    exists = exists and q.exists
+                    if q.exists:
+                        gamma += q.gamma
+                        witness.update(ids[v] for v in q.witness)
+                expected = (True, gamma, tuple(sorted(witness))) if exists else (False, None, None)
+                assert (r.exists, r.gamma, r.witness) == expected, (parts, union, kind)
+                assert exists_set(union, kind) is exists, (union, kind)
+                if exists:
+                    assert exists_set(union, kind, limit=gamma) is True, (union, kind)
+                    assert exists_set(union, kind, limit=gamma - 1) is False, (union, kind)
+                checks += 1
+        assert checks == 3100
+
+
 @lru_cache(maxsize=None)
 def _twin_rich_cases():
     """(graph, kind, every satisfying set) on graphs full of twins, each under
@@ -995,6 +1051,14 @@ class TestEnumerateSets:
         seen = []
         enumerate_sets(g, efficient(), 2, lambda s: (seen.append(s), True)[1])
         assert len(seen) == 1
+
+    def test_empty_size_range_lists_nothing(self):
+        # sizes 0..-1 hold no set: the empty set of K0 is not listed, and no
+        # root is counted
+        for g in (Graph(0), build_standard("path", 3)):
+            seen = []
+            assert enumerate_masks(g, dominating(), 0, -1, seen.append) == 0
+            assert seen == []
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError, match="^size must be non-negative$"):
