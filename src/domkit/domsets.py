@@ -118,11 +118,10 @@ def open_efficient() -> SetKind:
 
 
 def _as_vertex_set(graph: Graph, members: Iterable[int]) -> VertexSet:
-    s = frozenset(members)
-    for v in s:
-        if not (0 <= v < graph.n):
-            raise ValueError(f"vertex {v} not in 0..{graph.n - 1}")
-    return s
+    ids = tuple(members)  # checked before a frozenset lets True collapse into 1
+    for v in ids:
+        graph._check_vertex(v)
+    return frozenset(ids)
 
 
 def _as_mask(graph: Graph, members: Iterable[int]) -> int:

@@ -128,6 +128,7 @@ class Graph:
         return tuple(v for v, m in enumerate(self._masks) if not m)
 
     def _check_vertex(self, v: int) -> None:
+        check_int(vertex=v)
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 

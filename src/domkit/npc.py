@@ -39,7 +39,7 @@ class X3CInstance:
         except TypeError:
             raise ValueError(f"the sets {self.sets!r} are not a collection of triples") from None
         # bool is an int subclass and a float such as 3.0 compares like one,
-        # but x3c_from_json rejects both, and a float cannot index the gadget
+        # but neither is a universe size, and a float cannot index the gadget
         if type(self.universe_size) is not int:
             raise ValueError(f"universe size {self.universe_size!r} is not an integer")
         if self.universe_size <= 0 or self.universe_size % 3 != 0:
@@ -47,13 +47,14 @@ class X3CInstance:
         if not self.sets:
             raise ValueError("the collection must contain at least one set")
         for triple in self.sets:
-            if len(triple) != 3 or len(set(triple)) != 3:
-                raise ValueError(f"set {triple} must have exactly 3 distinct elements")
+            # elements first: a list must not reach set(), nor True pass for a 1
             for x in triple:
                 if type(x) is not int:
                     raise ValueError(f"element {x!r} is not an integer")
                 if not (0 <= x < self.universe_size):
                     raise ValueError(f"element {x} outside universe 0..{self.universe_size - 1}")
+            if len(triple) != 3 or len(set(triple)) != 3:
+                raise ValueError(f"set {triple} must have exactly 3 distinct elements")
 
     @property
     def num_sets(self) -> int:
@@ -256,21 +257,13 @@ def minimum_gadget_witness(inst: X3CInstance, *, force: bool = False):
 # -- instance JSON ------------------------------------------------------------
 
 
-def _json_int(value: object) -> int:
-    # bool is an int subclass; floats, 6.0 included, are never truncated
-    if type(value) is not int:
-        raise ValueError(f"malformed instance JSON: {value!r} is not an integer")
-    return value
-
-
 def x3c_from_json(text: str) -> X3CInstance:
+    """Read an instance from JSON; ``X3CInstance`` checks every value."""
     data = json.loads(text)
     try:
-        universe = _json_int(data["universe"])
-        sets = tuple(tuple(_json_int(x) for x in triple) for triple in data["sets"])
+        return X3CInstance(data["universe"], data["sets"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from None
-    return X3CInstance(universe, sets)  # type: ignore[arg-type]
 
 
 def x3c_to_json(inst: X3CInstance) -> str:

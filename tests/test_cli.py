@@ -692,9 +692,9 @@ class TestReduceAndDecide:
         ('{"universe": 3, "sets": [[0, 1, 2]]}'.encode("utf-16"),
          "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b'{"universe": 3, "sets": [[0, 1, 2.0]]}',
-         "malformed instance JSON: 2.0 is not an integer"),
+         "element 2.0 is not an integer"),
         (b'{"universe": 3, "sets": [5]}',
-         "malformed instance JSON: 'int' object is not iterable"),
+         "the sets [5] are not a collection of triples"),
         # CR LF and a lone CR each end one line, as when the file is read in text mode
         (b'{"universe": 3,\r\n "sets": [[0, 1, 2]\r\n\r "x"}',
          "Expecting ',' delimiter: line 4 column 2 (char 38)"),

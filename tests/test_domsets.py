@@ -18,7 +18,7 @@ from domkit.domsets import (
     total_dominating,
     total_one_k,
 )
-from domkit.graphs import Graph, build_standard
+from domkit.graphs import Graph, build_standard, distance
 
 from conftest import naive_satisfies
 from test_graphs import graphs_strategy
@@ -110,6 +110,24 @@ class TestSpanningNumber:
             spanning_number(build_standard("path", 3), {0}, 7)
         with pytest.raises(ValueError):
             spanning_number(build_standard("path", 3), {5}, 0)
+
+    def test_rejects_vertex_ids_that_are_not_int(self):
+        # True and 1.0 compare like vertex 1, and True hashes like it too, so
+        # each given id is checked before a set can collapse [1, True]
+        p4 = build_standard("path", 4)
+        calls = (lambda: satisfies(p4, [True, 3], dominating()),
+                 lambda: satisfies(p4, [1, True], dominating()),
+                 lambda: satisfies(p4, [1.0, 3], dominating()),
+                 lambda: spanning_number(p4, [1.0], 0),
+                 lambda: spanning_number(p4, [1], True),
+                 lambda: in_sd_class(p4, [0, True], 1, 2),
+                 lambda: p4.neighbors(True),
+                 lambda: p4.degree(1.0),
+                 lambda: distance(p4, 0, True))
+        for call in calls:
+            with pytest.raises(ValueError, match="vertex must be an integer"):
+                call()
+        assert satisfies(p4, iter([1, 2]), dominating())
 
 
 class TestSatisfies:

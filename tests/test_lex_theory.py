@@ -406,6 +406,59 @@ class TestTotalOne2Prediction:
                 list(g.edges()), list(h.edges()), h.n)
 
 
+def _factor_classes(total: bool, k: int):
+    """Connected atlas G on 2..6 vertices (142), and every atlas H on 1..4
+    vertices (18) with its class: n_H, whether H has an isolated vertex, and
+    c, which is γ_t[1,k](H) when ``total`` and γ_[1,k](H) otherwise (None
+    when no such set exists)."""
+    atlas = atlas_by_order(6)
+    gs = [g for order in range(2, 7) for g in atlas[order] if is_connected(g)]
+    c_kind = total_one_k(k) if total else one_k(k)
+    hs = [(h, (h.n, 0 in h.neighbor_masks, min_set(h, c_kind).gamma))
+          for order in range(1, 5) for h in atlas[order]]
+    return gs, hs
+
+
+class TestFactorInvariance:
+    """ROADMAP item 13: for a fixed G, γ_[1,k], γ_t[1,k] and γ_i[1,k] of G∘H
+    read H only through its class (``_factor_classes``).  The law is a
+    measured regularity, not a theorem; a prediction that varies inside a
+    class is wrong before any comparison with the oracle."""
+
+    @staticmethod
+    def assert_one_value_per_class(value, total, k):
+        gs, hs = _factor_classes(total, k)
+        assert len(gs) == 142 and len(hs) == 18
+        shared = 0
+        for g in gs:
+            seen = {}
+            for h, cls in hs:
+                if cls in seen:
+                    shared += 1
+                v = value(g, h)
+                assert seen.setdefault(cls, v) == v, (list(g.edges()), list(h.edges()), cls)
+        assert shared >= 142 * 7  # 7 to 10 of the 18 H share a class with an earlier H
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", [one_k, total_one_k, independent_one_k])
+    def test_oracle(self, kind, k):
+        self.assert_one_value_per_class(
+            lambda g, h: min_set(lex_product(g, h)[0], kind(k)).gamma,
+            kind is total_one_k, k)
+
+    @pytest.mark.parametrize("name, k", [
+        ("one_2", 2), ("total_one_2", 2), ("i_one_2", 2), ("i_one_k", 3),
+    ])
+    def test_predictions(self, name, k):
+        def prediction(g, h):
+            if h.n == 1:  # the identity row
+                return None
+            a = product_gamma(g, h, name, k)
+            return a.membership, a.predicted_gamma
+
+        self.assert_one_value_per_class(prediction, name == "total_one_2", k)
+
+
 # found by a random search; the product with K2 has 22 vertices
 G11 = Graph(11, [(0, 2), (1, 9), (2, 9), (2, 10), (3, 4), (3, 6), (3, 9), (5, 8),
                  (6, 7), (6, 9), (8, 9)])

@@ -42,6 +42,63 @@ def two_coloring_exists(graph) -> bool:
     return True
 
 
+def reference_instance(text: str):
+    """(universe, sets) of an instance JSON text, or None when the text holds
+    no instance: an object whose "universe" is an int 3q > 0 and whose "sets"
+    is a non-empty list of lists of three distinct ints in 0..universe-1.
+    Written without npc, as the reference for its reader."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        return None
+    universe, sets = data.get("universe"), data.get("sets")
+    if type(universe) is not int or universe <= 0 or universe % 3:
+        return None
+    if type(sets) is not list or not sets:
+        return None
+    for triple in sets:
+        if type(triple) is not list or len(triple) != 3:
+            return None
+        if any(type(x) is not int or not 0 <= x < universe for x in triple):
+            return None
+        if len(set(triple)) != 3:
+            return None
+    return universe, tuple(map(tuple, sets))
+
+
+LOOKALIKES = (bool, float, str, lambda x: [x], lambda x: None)
+
+
+def random_instance_text(rng: random.Random) -> str:
+    """A valid instance's JSON text, or one with a few of these faults."""
+    universe = rng.choice((3, 6, 9))
+    sets = [rng.sample(range(universe), 3) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.15:  # an element is a bool, float, string, list or null
+        triple = rng.choice(sets)
+        i = rng.randrange(3)
+        triple[i] = rng.choice(LOOKALIKES)(triple[i])
+    if rng.random() < 0.1:  # an element repeats or lies outside the universe
+        triple = rng.choice(sets)
+        triple[rng.randrange(3)] = rng.choice((triple[0], -1, universe, universe + 3))
+    if rng.random() < 0.1:  # a triple has two or four elements
+        triple = rng.choice(sets)
+        if rng.random() < 0.5:
+            triple.pop()
+        else:
+            triple.append(rng.randrange(universe))
+    if rng.random() < 0.08:  # a triple is not a list
+        sets[rng.randrange(len(sets))] = rng.choice((5, "012", {"0": 1}, None, []))
+    if rng.random() < 0.1:  # the universe is a lookalike or no positive multiple of 3
+        universe = rng.choice(LOOKALIKES + (lambda x: x + 1, lambda x: 0, lambda x: -x))(universe)
+    data = {"universe": universe, "sets": sets}
+    if rng.random() < 0.06:  # the sets are no list of triples
+        data["sets"] = rng.choice(([], {}, "", "abc", 5, None, {"0": [0, 1, 2]}, sets[0]))
+    if rng.random() < 0.06:
+        del data[rng.choice(("universe", "sets"))]
+    if rng.random() < 0.04:  # the document is no object
+        data = rng.choice(([data], [universe, sets], 3, "x3c", None))
+    return json.dumps(data)
+
+
 class TestInstanceValidation:
     def test_rejects_empty_collection(self):
         with pytest.raises(ValueError):
@@ -89,7 +146,9 @@ class TestInstanceValidation:
     def test_rejects_non_integers(self):
         for universe, sets in ((3.0, ((0, 1, 2),)), (True, ((0, 1, 2),)),
                                ("3", ((0, 1, 2),)), (3, ((0, True, 2.0),)),
-                               (3, ((0, 1, 2.0),)), (6, ((0, 1, 2), (3, 4, "5")))):
+                               (3, ((0, 1, 2.0),)), (6, ((0, 1, 2), (3, 4, "5"))),
+                               # the element types are checked before set() sees them
+                               (3, (([0], 1, 2),)), (3, ((0, 1, True),))):
             with pytest.raises(ValueError, match="is not an integer"):
                 X3CInstance(universe, sets)
 
@@ -116,6 +175,21 @@ class TestInstanceValidation:
             accepted += 1
             assert x3c_from_json(x3c_to_json(inst)) == inst, inst
         assert accepted >= 100
+
+    def test_reader_matches_the_reference(self):
+        rng = random.Random(0x3C3)
+        accepted = 0
+        for _ in range(4000):
+            text = random_instance_text(rng)
+            expected = reference_instance(text)
+            try:
+                inst = x3c_from_json(text)
+            except ValueError:
+                assert expected is None, text
+            else:
+                assert (inst.universe_size, inst.sets) == expected, text
+                accepted += 1
+        assert 1000 <= accepted <= 3000, accepted
 
 
 class TestBuildGadget:
