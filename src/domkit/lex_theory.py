@@ -302,8 +302,10 @@ def product_gamma(g: Graph, h: Graph, kind: str, k: int = 2, *,
                   force: bool = False) -> ProductAnalysis:
     """Minimum size of the requested set type on G o H, from factor solves.
 
-    Overlapping subcases are all evaluated and the smallest prediction wins;
-    ``matched_condition`` records the winning subcase.  Nonexistence is
+    Overlapping subcases are all evaluated and the smallest prediction wins,
+    the first of equal ones, so a later scattered-set scan searches only
+    below the values of the subcases before it; ``matched_condition``
+    records the winning subcase.  Nonexistence is
     reported with ``membership=False`` and no value.
     """
     check_k(k, kind)
@@ -341,6 +343,12 @@ def _plain_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | N
     return candidates + _total_cases(g, h, k, force)[0], None
 
 
+def _best(candidates: list) -> int | None:
+    """The smallest candidate value so far, None before the first: a scan
+    that cannot go below it cannot win, as ``min`` keeps the first of equals."""
+    return min((value for value, _, _ in candidates), default=None)
+
+
 def _one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | None]:
     # n_h >= 2 here, so every subcase value is at most 2 * n_g <= n_g * n_h
     # and the full vertex set, appended last, wins only when none applies.
@@ -354,7 +362,7 @@ def _one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | N
         if r_gt.exists:
             candidates.append((r_gt.gamma, "case1a", (r_gt.witness, (iso[0],))))
         if r_h.gamma == 2:
-            sd = min_sd_size_plus_alpha(g, 2, 2, force=force)
+            sd = min_sd_size_plus_alpha(g, 2, 2, below=_best(candidates), force=force)
             if sd is not None:
                 value, members = sd
                 # the isolated vertex sits in every [1,2]-set of H
@@ -371,7 +379,7 @@ def _one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, str | N
     if r_dept.exists:
         candidates.append((r_dept.gamma, "case2b", (r_dept.witness, (0,))))
     if r_h.gamma == 2:
-        sd = min_sd_size_plus_alpha(g, 1, 2, force=force)
+        sd = min_sd_size_plus_alpha(g, 1, 2, below=_best(candidates), force=force)
         if sd is not None:
             value, members = sd
             candidates.append((value, "case2c", (members, pair_h[:1], pair_h[1:])))
@@ -395,7 +403,7 @@ def _total_one_2_cases(g: Graph, h: Graph, k: int, force: bool) -> tuple[list, s
     # for it must be an edge of H that dominates H, whatever gamma_[1,2](H) is.
     pair = min_set(h, total_one_k(2), limit=2, force=force)
     if pair.exists:
-        sd = min_sd_size_plus_alpha(g, 1, 2, force=force)
+        sd = min_sd_size_plus_alpha(g, 1, 2, below=_best(candidates), force=force)
         if sd is not None:
             value, members = sd
             candidates.append((value, "case2b", (members, pair.witness[:1], pair.witness[1:])))

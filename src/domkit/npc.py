@@ -258,11 +258,12 @@ def minimum_gadget_witness(inst: X3CInstance, *, force: bool = False):
 
 
 def x3c_from_json(text: str) -> X3CInstance:
-    """Read an instance from JSON; ``X3CInstance`` checks every value."""
-    data = json.loads(text)
+    """Read an instance from JSON; ``X3CInstance`` checks every value.  Text
+    nested past the decoder's recursion limit is malformed too."""
     try:
+        data = json.loads(text)
         return X3CInstance(data["universe"], data["sets"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed instance JSON: {exc}") from None
 
 

@@ -80,8 +80,13 @@ or 2), which then applies the scattered cut.  A member is settled once no
 candidate after the last pick is its neighbor, and lonely while it has no
 in-set neighbor; a settled lonely member stays lonely in every extension,
 so once another member lies within distance 2 of it no extension is
-scattered and the child is skipped.  The scans accept only scattered sets,
-so their answers are those of the full listing.
+scattered and the child is skipped.  The same members bound the value:
+every completion of a child in the pass at size s has |S| + alpha(S) at
+least s plus its settled lonely members, so ``min_sd_size_plus_alpha``
+also skips a child once that reaches its bound, the best value found or at
+first the caller's ``below``.  The first set reaching the minimum has a
+value below every bound held before it, so neither cut skips it, and the
+scans' answers are those of the full listing.
 
 ``min_set``'s plan is one method, ``_Search.minimum``.  A guess g >= 1 first
 runs the descent below with s = 0 and the limit g - 1; with no set found,
@@ -246,7 +251,8 @@ class _Search:
 
     __slots__ = (
         "n", "adj", "full", "delta", "dead_before", "levels_len", "gain", "hi_in", "hi_out",
-        "member_needs_lo", "hoods", "twin_before", "near", "degrees", "nodes", "found",
+        "member_needs_lo", "hoods", "twin_before", "near", "lonely_weight", "bound", "degrees",
+        "nodes", "found",
     )
 
     def __init__(self, graph: Graph, kind: SetKind, break_twins: bool = False,
@@ -277,6 +283,10 @@ class _Search:
         self.dead_before: list[int] | None = None  # built by the first run
         self.twin_before = _twin_before(adj, closed) if break_twins else None
         self.near = near
+        # with near: a child is cut once its pass size plus lonely_weight times
+        # its settled lonely members reaches bound; the scans set both
+        self.lonely_weight = 0
+        self.bound = n + 1
         self.degrees: list[int] | None = None  # ascending, sorted by _size_fits
         self.nodes = 0
         self.found = 0  # the set the last successful walk, or minimum's pass, reached
@@ -624,6 +634,9 @@ class _Search:
             if near is not None:
                 # settled lonely members: no in-set neighbor, none to come
                 lonely = new_mask & ~child0 & dead_before[v + 1]
+                if new_mask.bit_count() + left + self.lonely_weight * lonely.bit_count() \
+                        >= self.bound:
+                    continue  # no extension's value is below the bound
                 while lonely:
                     low = lonely & -lonely
                     if near[low.bit_length() - 1] & new_mask:
@@ -748,38 +761,48 @@ def enumerate_sets(graph: Graph, kind: SetKind, size: int,
                            lambda mask: on_solution(frozenset(mask_to_ids(mask))))
 
 
-def _sd_scan(graph: Graph, j: int, k: int, weight: int,
-             force: bool) -> tuple[int, int] | None:
+def _sd_scan(graph: Graph, j: int, k: int, weight: int, force: bool,
+             below: int | None = None) -> tuple[int, int] | None:
     """Minimum of |S| + (weight - 1) * alpha(S) over scattered j-dependent
     [1,k]-sets S, where ``alpha`` counts members with no in-set neighbor.
 
     Returns the value and the mask of the first set reaching it, or None when
-    no such set exists.  The listing runs with the scattered cut, which skips
-    only sets that no extension makes scattered, whatever their size, so the
-    answer is that of the full scan.  Sizes only grow along the listing, so it
-    stops at the first set of size >= the best value, and at a scattered set
-    whose value is its size; with weight 1 that is the first scattered set.
-    The solver cap applies unless ``force``, as for every other search.
+    no such set exists.  With ``below`` it returns them only when the minimum
+    is below ``below``, and None otherwise.  The listing runs with the
+    scattered cut, which skips only sets that no extension makes scattered,
+    whatever their size, and with the bound cut: the search's ``bound`` is
+    the value to beat, ``below`` or the best value found, and a child whose
+    pass size plus (weight - 1) times its settled lonely members reaches it
+    is skipped, since those members stay lonely in every extension.  Neither
+    cut skips the first set reaching the minimum, so the answer is that of
+    the full scan.  Sizes only grow along the listing, so a pass whose size
+    reaches the bound cuts every child of its root, and the listing stops at
+    a scattered set whose value is its size; with weight 1 that is the first
+    scattered set.  The solver cap applies unless ``force``, as for every
+    other search.
     """
     check_cap(graph.n, force)
     adj = graph.neighbor_masks
     near = near_masks(adj)
     scattered = scattered_test(graph, near)
-    best: list[int] = []  # [value, mask] of the first set reaching the minimum
+    search = _Search(graph, j_dependent_one_k(j, k), near=near)
+    search.lonely_weight = weight - 1
+    # the value to beat: with no bound, one above every value
+    search.bound = graph.n * weight + 1 if below is None else below
+    first = None  # the first set reaching the bound
 
     def consider(s: int) -> bool:
-        size = s.bit_count()
-        if best and size >= best[0]:
-            return True
+        nonlocal first
         if not scattered(s):
             return False
+        size = s.bit_count()
         value = size + (weight - 1) * sum(1 for v in mask_to_ids(s) if not adj[v] & s)
-        if not best or value < best[0]:
-            best[:] = [value, s]
+        if value < search.bound:
+            search.bound, first = value, s
         return value == size
 
-    _Search(graph, j_dependent_one_k(j, k), near=near).run(0, graph.n, consider)
-    return (best[0], best[1]) if best else None
+    search.run(0, search.bound - 1, consider)
+    return None if first is None else (search.bound, first)
 
 
 def first_sd_set(graph: Graph, j: int, k: int, *,
@@ -789,11 +812,15 @@ def first_sd_set(graph: Graph, j: int, k: int, *,
     return frozenset(mask_to_ids(found[1])) if found else None
 
 
-def min_sd_size_plus_alpha(graph: Graph, j: int, k: int, *,
+def min_sd_size_plus_alpha(graph: Graph, j: int, k: int, *, below: int | None = None,
                            force: bool = False) -> tuple[int, frozenset[int]] | None:
     """Minimum of |S| + alpha over scattered j-dependent [1,k]-sets S, with the
-    first set achieving it, or None when no such set exists."""
-    found = _sd_scan(graph, j, k, 2, force)
+    first set achieving it, or None when no such set exists.  With ``below``,
+    None also when the minimum is not below ``below``: the scan then searches
+    only for values below it."""
+    if below is not None:
+        check_int(below=below)
+    found = _sd_scan(graph, j, k, 2, force, below)
     return (found[0], frozenset(mask_to_ids(found[1]))) if found else None
 
 

@@ -707,6 +707,16 @@ class TestReduceAndDecide:
         inst.write_bytes(data)
         assert run(capsys, command, str(inst)) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("command", ("reduce", "decide-x3c"))
+    def test_deeply_nested_instance_exits_1(self, tmp_path, capsys, command):
+        # past the JSON decoder's recursion limit on every supported Python:
+        # one error line, not the decoder's RecursionError
+        inst = tmp_path / "deep.json"
+        inst.write_text("[" * 100_000)
+        code, out, err = run(capsys, command, str(inst))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed instance JSON: ") and err.count("\n") == 1
+
     def test_crlf_instance_reads_as_lf(self, tmp_path, capsys):
         inst, crlf = tmp_path / "inst.json", tmp_path / "crlf.json"
         inst.write_bytes(b'{"universe": 3,\n "sets":\n [[0, 1, 2]]}\n')

@@ -23,6 +23,7 @@ from domkit.domsets import (
     in_sd_class,
     independent_one_k,
     j_dependent_one_k,
+    j_dependent_total_one_k,
     near_masks,
     one_k,
     satisfies,
@@ -113,8 +114,55 @@ class TestSdScans:
                 assert got == best
                 if got is not None:
                     assert sorted(got[1]) == sorted(best[1])
+                # with a bound b: the same answer when its value is below b, else None
+                for b in range((2 * n if best is None else best[0]) + 2):
+                    expected = best if best is not None and best[0] < b else None
+                    assert min_sd_size_plus_alpha(g, j, k, below=b) == expected, (n, j, k, b)
                 hits += first is not None
         assert hits > 40
+
+    def test_callers_bound_the_scan_by_the_earlier_subcases(self, monkeypatch):
+        # each scan gets the smallest candidate value before it, None without one
+        calls = []
+
+        def spy(g, j, k, *, below=None, force=False):
+            calls.append((j, below))
+            return min_sd_size_plus_alpha(g, j, k, below=below, force=force)
+
+        monkeypatch.setattr(lex_theory, "min_sd_size_plus_alpha", spy)
+
+        def gamma(g, kind):
+            return min_set(g, kind).gamma
+
+        # the spider with three legs of two edges has no total [1,2]-set
+        spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        grid = [g for n, group in atlas_by_order(6).items() if n >= 2
+                for g in group if is_connected(g)]
+        seen = set()
+        for g in grid + [spider]:
+            t12, jdt = gamma(g, total_one_k(2)), gamma(g, j_dependent_total_one_k(1, 2))
+            # H = 2K1 runs case1b after case1a; H = C4 runs one_2's case2c
+            # after case2b and total_one_2's case2b after case2a
+            for h, kind, expected in ((build_standard("empty", 2), "one_2", (2, t12)),
+                                      (C(4), "one_2", (1, jdt)),
+                                      (C(4), "total_one_2", (1, jdt))):
+                calls.clear()
+                product_gamma(g, h, kind)
+                assert calls == [expected], (sorted(g.edges()), h.n, kind)
+                seen.add((kind, expected[0], expected[1] is None))
+        assert len(seen) == 6  # every call site, with and without an earlier candidate
+
+    @pytest.mark.parametrize("g,h,kind,label,value", [
+        (C(14), P(4), "one_2", "case2b", 8),
+        (C(20), C(4), "total_one_2", "case2a", 10),
+    ])
+    def test_a_scan_that_ties_an_earlier_subcase_loses(self, g, h, kind, label, value):
+        # the scan's own minimum equals the earlier value, so it runs bounded
+        # by that value, finds nothing below it, and the earlier case wins
+        assert min_sd_size_plus_alpha(g, 1, 2)[0] == value
+        assert min_sd_size_plus_alpha(g, 1, 2, below=value) is None
+        a = product_gamma(g, h, kind)
+        assert (a.matched_condition, a.predicted_gamma) == (label, value)
 
 
 def _uncut_scans(g, j, k):

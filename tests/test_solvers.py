@@ -1035,8 +1035,8 @@ class TestPinnedSearchWork:
 
         monkeypatch.setattr(solvers, "_Search", Counted)
         assert lex_theory.min_sd_size_plus_alpha(build_standard("path", 20), 1, 2)[0] == 10
-        # 1,003 while every last pick tried each candidate
-        assert [search.nodes for search in searches] == [909]
+        # 909 without the bound cut, 1,003 while every last pick tried each candidate
+        assert [search.nodes for search in searches] == [543]
 
 
 class TestEnumerateSets:
